@@ -4,9 +4,10 @@ Two peers with exponential commit times (means 1.3 s and 2.3 s) share a
 soft height-window eligibility rule (tau = 5). Left alone, the fast peer
 pulls ahead, the slow peer loses endorsement eligibility, and the system
 collapses into a single-leader regime with smaller blocks and lower
-throughput. With waiting enabled, a leader more than tau blocks ahead (but
-within the safety ceiling) pauses its commits while the lagger's mean drops
-to 1.8 s until the gap closes back to tau.
+throughput. With waiting enabled, a leader more than tau blocks ahead pauses
+its commits while the lagger's mean drops to 1.8 s until the gap closes back
+to tau. The pause lands on the commit that opens the gap to tau + 1, so the
+gap never grows past that.
 """
 
 import statistics

@@ -34,20 +34,18 @@ from .config import (
     load_config,
     loads_config,
 )
-from .commit import assign_validity, bench_commit, mvcc_validate, steady_state_tps
-from .coordination import WaitEvent, evaluate_wait, resume_check
+from .commit import assign_validity, bench_commit, steady_state_tps
+from .coordination import WaitEvent, evaluate_wait
 from .endorsement import PeerState, eligible_endorsers, quorum_satisfied
 from .metrics import (
     LatencySummary,
     RunCounters,
     ThroughputSummary,
-    e2e_latency,
     emit_report,
     success_ratio,
-    time_ratio,
 )
 from .simulate import RunResult, Simulation, run_scenario
-from .workload import InFlightPool, Transaction, TxStatus, assign_dependency
+from .workload import InFlightPool, Transaction, TxStatus, draw_parent
 from . import presets
 from .sweep import run_sweep
 
@@ -59,12 +57,12 @@ __all__ = [
     "LeaderPolicy", "BlockCutRule", "CommitLatencyModel", "EndorseLatencyModel",
     "WaitingPolicy", "ConfigError", "load_config", "loads_config", "emit_config",
     "config_hash",
-    "steady_state_tps", "bench_commit", "mvcc_validate", "assign_validity",
-    "WaitEvent", "evaluate_wait", "resume_check",
+    "steady_state_tps", "bench_commit", "assign_validity",
+    "WaitEvent", "evaluate_wait",
     "PeerState", "eligible_endorsers", "quorum_satisfied",
     "RunCounters", "LatencySummary", "ThroughputSummary",
-    "success_ratio", "time_ratio", "e2e_latency", "emit_report",
+    "success_ratio", "emit_report",
     "Simulation", "RunResult", "run_scenario",
-    "Transaction", "TxStatus", "InFlightPool", "assign_dependency",
+    "Transaction", "TxStatus", "InFlightPool", "draw_parent",
     "presets", "run_sweep",
 ]

@@ -33,10 +33,17 @@ def _load_target(target: str) -> ScenarioConfig:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",") if s]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise ConfigError([f"--seeds {text!r}: expected A..B or a comma list of integers"]) from None
+    if not seeds:
+        raise ConfigError([f"--seeds {text!r}: selects no seeds (empty list or reversed range)"])
+    return seeds
 
 
 def _parse_grid(items) -> dict:

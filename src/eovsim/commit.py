@@ -19,7 +19,7 @@ from .kernel import EventKind, SimulationIntegrityError
 from .workload import TxStatus
 
 __all__ = ["PhaseTiming", "CommitEngine", "steady_state_tps", "bench_commit",
-           "mvcc_validate", "assign_validity"]
+           "assign_validity"]
 
 
 class PhaseTiming:
@@ -38,10 +38,6 @@ class PhaseTiming:
     @property
     def p2_duration(self) -> float:
         return self.p2_end - self.p2_start
-
-    @property
-    def time_ratio(self) -> float:
-        return self.p1_duration / self.p2_duration
 
 
 def steady_state_tps(p1: float, p2: float, block_size: int, mode: str) -> float:
@@ -142,8 +138,7 @@ class CommitEngine:
         self.p2_prev_end = self.sim.kernel.now
         self.peer.height += 1
         self.sim.on_commit(self.peer, self.blocks[idx], self.timings[idx])
-        self._maybe_start_p1()
-        self._maybe_start_p2()
+        self.kick()
 
     def kick(self) -> None:
         """Re-check both phases (pause released, or external state changed)."""
@@ -158,57 +153,32 @@ class CommitEngine:
 # ---------------------------------------------------------------------------
 # Validity
 
-def mvcc_validate(tx, committed: set, dropped: set = frozenset()) -> str:
-    """Validity of one transaction at its commit instant.
-
-    committed: ids of transactions committed at strictly earlier ledger
-    positions (earlier block, or earlier slot of the same block); whether the
-    parent itself passed MVCC does not matter, only that it settled first.
-    dropped: ids that were dropped before ordering and so can never conflict.
-    """
-    if tx.parent is None or tx.parent in committed or tx.parent in dropped:
-        return TxStatus.COMMITTED_VALID
-    return TxStatus.COMMITTED_INVALID
-
-
-def assign_validity(blocks, txs, parent_of=None) -> tuple[int, int]:
-    """Walk the ledger in order and flag every ordered transaction.
+def assign_validity(blocks, txs, parents) -> list:
+    """Walk the ledger in order; return the transactions MVCC invalidates.
 
     A dependent transaction is invalid iff its parent is still in flight at
     the dependent's commit: not dropped, and not ordered at a strictly
     earlier ledger position. Ledger position is (block_num, block_pos), so
     the check is a direct comparison.
 
-    txs: all transactions indexed by tx_id. parent_of: optional override
-    mapping tx_id -> parent id (-1 for none), used to evaluate alternative
-    dependency assignments against the same ledger; statuses are left
-    untouched in that case.
-
-    Returns (valid_count, invalid_count).
+    txs: all transactions indexed by tx_id. parents: the parents sequence of
+    one dependency probability, parents[tx_id] = parent id or None. Every
+    other transaction of the blocks is valid; statuses are left untouched.
     """
-    n_valid = n_invalid = 0
-    mutate = parent_of is None
+    invalid = []
     dropped = TxStatus.DROPPED
     for block in blocks:
         bnum = block.block_num
         for tx in block.txs:
-            parent = tx.parent if mutate else parent_of[tx.tx_id]
-            if parent is None or parent == -1:
-                ok = True
-            else:
-                par = txs[parent]
-                pb = par.block_num
-                ok = ((pb != -1 and (pb < bnum or (pb == bnum and par.block_pos < tx.block_pos)))
-                      or par.status == dropped)
-            if ok:
-                n_valid += 1
-                if mutate:
-                    tx.status = TxStatus.COMMITTED_VALID
-            else:
-                n_invalid += 1
-                if mutate:
-                    tx.status = TxStatus.COMMITTED_INVALID
-    return n_valid, n_invalid
+            parent = parents[tx.tx_id]
+            if parent is None:
+                continue
+            par = txs[parent]
+            pb = par.block_num
+            if not ((pb != -1 and (pb < bnum or (pb == bnum and par.block_pos < tx.block_pos)))
+                    or par.status == dropped):
+                invalid.append(tx)
+    return invalid
 
 
 def bench_commit(p1_dist, p2_dist, block_size: int, mode: str, n_blocks: int,

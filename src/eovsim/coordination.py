@@ -1,10 +1,15 @@
 """Strategic waiting: pause leading peers, boost the lagger.
 
 Evaluated at every block-commit event. When the height gap (max - min)
-exceeds tau but stays at or below the safety ceiling, every max-height peer
-pauses its phase-2 commits and the lowest peer's commit distribution mean
-switches to the boosted value. Normal behavior resumes once the gap closes
-to within tau. Above the ceiling the controller stands down and only logs.
+exceeds tau, every max-height peer pauses its phase-2 commits and the lowest
+peer's commit distribution mean switches to the boosted value. Normal
+behavior resumes once the gap closes to within tau.
+
+While waiting is enabled the gap never exceeds tau + 1: heights move one
+commit at a time, and the pause lands on the commit that first makes the gap
+tau + 1, whose peer has no phase 2 in flight. A larger gap is an integrity
+failure. The configured ceiling is validated to be above tau, so the gap
+never exceeds it.
 """
 
 from __future__ import annotations
@@ -13,13 +18,13 @@ from dataclasses import dataclass
 
 from .kernel import SimulationIntegrityError
 
-__all__ = ["WaitEvent", "evaluate_wait", "resume_check", "WaitingController"]
+__all__ = ["WaitEvent", "evaluate_wait", "WaitingController"]
 
 
 @dataclass(frozen=True)
 class WaitEvent:
     at: float
-    kind: str  # pause_start | pause_end | boost_start | boost_end | ceiling_exceeded
+    kind: str  # pause_start | pause_end | boost_start | boost_end
     leader: int
     lagger: int
     gap: int
@@ -28,26 +33,19 @@ class WaitEvent:
 def evaluate_wait(heights, policy):
     """Decide the controller action for the current heights.
 
-    Returns ("none" | "pause" | "ceiling", leaders, lagger, gap): leaders are
-    the max-height peers to pause and lagger the lowest peer (lowest id on
-    ties) to boost.
+    Returns ("none" | "pause", leaders, lagger, gap): leaders are the
+    max-height peers to pause and lagger the lowest peer (lowest id on ties)
+    to boost. Raises SimulationIntegrityError when the gap exceeds tau + 1.
     """
     top = max(heights)
     low = min(heights)
     gap = top - low
+    if gap > policy.tau + 1:
+        raise SimulationIntegrityError(
+            f"height gap {gap} exceeds tau + 1 = {policy.tau + 1} while waiting is enabled")
     leaders = [i for i, h in enumerate(heights) if h == top]
     lagger = heights.index(low)
-    if policy.tau < gap <= policy.ceiling:
-        return "pause", leaders, lagger, gap
-    if gap > policy.ceiling:
-        return "ceiling", leaders, lagger, gap
-    return "none", leaders, lagger, gap
-
-
-def resume_check(heights, policy) -> str:
-    """While a pause is active: resume once the gap closes to within tau."""
-    gap = max(heights) - min(heights)
-    return "resume" if gap <= policy.tau else "continue_pause"
+    return ("pause" if gap > policy.tau else "none"), leaders, lagger, gap
 
 
 class WaitingController:
@@ -57,9 +55,7 @@ class WaitingController:
         self.active = False
         self.paused: set[int] = set()
         self.boosted_peer: int | None = None
-        self.last_gap = 0
         self.events: list[WaitEvent] = []
-        self._above_ceiling = False
 
     # -- boost bookkeeping --------------------------------------------------
 
@@ -67,16 +63,13 @@ class WaitingController:
         if not self.paused:
             raise SimulationIntegrityError("boost applied while no leader is paused")
         peer = self.sim.peers[lagger]
-        peer.boosted = True
         peer.boost_factor = self.policy.boosted_mean / self.policy.baseline_means[lagger]
         self.boosted_peer = lagger
 
     def release_boost(self) -> None:
         if self.boosted_peer is None:
             return
-        peer = self.sim.peers[self.boosted_peer]
-        peer.boosted = False
-        peer.boost_factor = 1.0
+        self.sim.peers[self.boosted_peer].boost_factor = 1.0
         self.boosted_peer = None
 
     # -- main hook ------------------------------------------------------------
@@ -88,11 +81,7 @@ class WaitingController:
         action, leaders, lagger, gap = evaluate_wait(heights, self.policy)
         now = self.sim.kernel.now
         if self.active:
-            if gap > self.last_gap:
-                raise SimulationIntegrityError(
-                    f"height gap grew from {self.last_gap} to {gap} during a pause")
-            self.last_gap = gap
-            if gap <= self.policy.tau:
+            if action == "none":
                 self._release(now, lagger, gap)
             else:
                 # a mid peer that caught up to the max must pause as well,
@@ -107,14 +96,6 @@ class WaitingController:
             self.apply_boost(lagger)
             self.events.append(WaitEvent(now, "boost_start", leaders[0], lagger, gap))
             self.active = True
-            self.last_gap = gap
-            self._above_ceiling = False
-        elif action == "ceiling":
-            if not self._above_ceiling:
-                self.events.append(WaitEvent(now, "ceiling_exceeded", leaders[0], lagger, gap))
-                self._above_ceiling = True
-        else:
-            self._above_ceiling = False
 
     def _pause_peer(self, i: int, now: float, lagger: int, gap: int) -> None:
         self.sim.peers[i].paused = True

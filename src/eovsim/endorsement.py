@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .kernel import EventKind
+from .kernel import EventKind, SimulationIntegrityError
 from .workload import Transaction, TxStatus
 
 __all__ = ["PeerState", "eligible_endorsers", "quorum_satisfied", "EndorsementSystem"]
@@ -21,7 +21,7 @@ __all__ = ["PeerState", "eligible_endorsers", "quorum_satisfied", "EndorsementSy
 class PeerState:
     __slots__ = (
         "peer_id", "height", "busy", "buffer", "pvt_store", "commit_scale",
-        "paused", "boosted", "boost_factor", "_target_rr",
+        "paused", "boost_factor", "_target_rr",
     )
 
     def __init__(self, peer_id: int, commit_scale: float = 1.0):
@@ -32,7 +32,6 @@ class PeerState:
         self.pvt_store: set[int] = set()
         self.commit_scale = commit_scale
         self.paused = False
-        self.boosted = False
         self.boost_factor = 1.0
         self._target_rr = 0
 
@@ -236,4 +235,7 @@ class EndorsementSystem:
         else:
             peer.busy -= 1
             self.sim.on_slot_free(peer)
-        assert peer.busy + len(peer.buffer) <= self.concurrency + self.buffer_cap
+        if peer.busy + len(peer.buffer) > self.concurrency + self.buffer_cap:
+            raise SimulationIntegrityError(
+                f"peer {peer.peer_id}: {peer.busy} busy + {len(peer.buffer)} buffered "
+                f"exceeds capacity {self.concurrency} + {self.buffer_cap}")

@@ -50,7 +50,6 @@ class EventKind(Enum):
     BLOCK_CUT = "block-cut"
     PHASE1_DONE = "phase1-done"
     PHASE2_DONE = "phase2-done"
-    PULL = "pull"  # pool-mode workload: an idle eligible peer takes work
     GENERIC = "generic"
 
 
@@ -73,10 +72,6 @@ class EventHandle:
 
     def cancel(self) -> None:
         self._event.cancelled = True
-
-    @property
-    def fire_at(self) -> float:
-        return self._event.fire_at
 
 
 class SimKernel:
@@ -267,9 +262,6 @@ class DistributionSpec:
         else:
             m = sum(self.samples) / len(self.samples)
         return m * self.scale
-
-    def mean_for(self, block_size: int = 0) -> float:
-        return self.base_mean + self.per_tx * block_size * self.scale
 
     def sample(self, stream: RngStream, block_size: int = 0) -> float:
         if self.family == "constant":

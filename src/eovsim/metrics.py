@@ -11,10 +11,11 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .kernel import SimulationIntegrityError
+
 __all__ = [
     "RunCounters", "LatencySummary", "ThroughputSummary",
-    "success_ratio", "time_ratio", "e2e_latency",
-    "fmt", "summary_columns", "summary_row", "emit_report",
+    "success_ratio", "fmt", "summary_columns", "summary_row", "emit_report",
 ]
 
 
@@ -32,14 +33,14 @@ class RunCounters:
 
     def check(self) -> None:
         if self.created != self.endorsed + self.dropped:
-            raise AssertionError(
+            raise SimulationIntegrityError(
                 f"conservation violated: created {self.created} != "
                 f"endorsed {self.endorsed} + dropped {self.dropped}")
         if self.dropped != self.dropped_capacity + self.dropped_quorum + self.dropped_horizon:
-            raise AssertionError("drop sub-labels do not add up")
+            raise SimulationIntegrityError("drop sub-labels do not add up")
         if self.endorsed != (self.committed_valid + self.committed_invalid_mvcc
                              + self.in_flight_at_horizon):
-            raise AssertionError(
+            raise SimulationIntegrityError(
                 f"conservation violated: endorsed {self.endorsed} != "
                 f"valid {self.committed_valid} + invalid {self.committed_invalid_mvcc} "
                 f"+ in-flight {self.in_flight_at_horizon}")
@@ -52,19 +53,6 @@ def success_ratio(created: int, endorsed: int, invalid: int) -> float:
     if created <= 0:
         raise ValueError("created must be > 0")
     return (endorsed - invalid) / created
-
-
-def time_ratio(p1_mean: float, p2_mean: float) -> float:
-    if p2_mean <= 0:
-        raise ValueError("phase-2 mean must be > 0")
-    return p1_mean / p2_mean
-
-
-def e2e_latency(tx) -> float:
-    """Client submission to first-peer (leader-perspective) commit."""
-    if tx.committed_at < 0:
-        raise ValueError(f"tx {tx.tx_id} is not committed")
-    return tx.committed_at - tx.created_at
 
 
 def _nearest_rank(sorted_values, pct: float) -> float:
@@ -102,7 +90,6 @@ class ThroughputSummary:
     commit_tps: float = 0.0
     endorsement_tps: float = 0.0
     time_ratio: float = 0.0
-    performance_ratio: float = 0.0  # populated when a serial/pipelined pair is compared
 
 
 def fmt(x) -> str:
@@ -192,12 +179,12 @@ def render_summary_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tx_trace_row(tx) -> dict:
+def _tx_trace_row(tx, parent) -> dict:
     return {
         "tx_id": tx.tx_id,
         "client": tx.client_id,
         "created_at": tx.created_at,
-        "parent": tx.parent if tx.parent is not None else None,
+        "parent": parent,
         "endorser": tx.endorser,
         "endorse_start": tx.endorse_start,
         "endorse_end": tx.endorse_end,
@@ -256,7 +243,8 @@ def render_report(result) -> dict:
         }, sort_keys=True, indent=2) + "\n",
     }
     if result.tx_trace is not None:
-        files["transactions.jsonl"] = _jsonl(_tx_trace_row(tx) for tx in result.tx_trace)
+        files["transactions.jsonl"] = _jsonl(
+            _tx_trace_row(tx, parent) for tx, parent in zip(result.tx_trace, result.tx_parents))
         files["blocks.jsonl"] = _jsonl(
             _block_trace_row(b, ts) for b, ts in result.block_trace)
     if result.config.waiting.enabled:

@@ -17,7 +17,7 @@ __all__ = ["Block", "Orderer"]
 
 class Block:
     __slots__ = ("block_num", "txs", "first_enqueued_at", "cut_at",
-                 "creation_time", "local_data", "first_commit_at", "commits_left")
+                 "creation_time", "local_data", "first_commit_at")
 
     def __init__(self, block_num: int, txs: list[Transaction],
                  first_enqueued_at: float, cut_at: float, n_peers: int):
@@ -28,7 +28,6 @@ class Block:
         self.creation_time = cut_at - first_enqueued_at
         self.local_data = [False] * n_peers  # peer holds every tx's private data
         self.first_commit_at = -1.0
-        self.commits_left = n_peers
 
     @property
     def size(self) -> int:
@@ -36,16 +35,14 @@ class Block:
 
 
 class Orderer:
-    def __init__(self, sim, cut_rule, n_peers: int, ordering_overhead: float = 0.0):
+    def __init__(self, sim, cut_rule, n_peers: int):
         self.sim = sim
         self.rule = cut_rule
         self.n_peers = n_peers
-        self.ordering_overhead = ordering_overhead
         self.queue: list[Transaction] = []
         self.first_enqueued_at = -1.0
         self.blocks: list[Block] = []
         self._timeout_handle = None
-        self._dynamic_started = False
 
     def start(self) -> None:
         if self.rule.kind == "dynamic_timeout":

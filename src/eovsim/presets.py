@@ -196,9 +196,7 @@ def _pipeline(variant: str = "4-1*") -> ScenarioConfig:
             pvt_fetch_remote=D.constant(c["fetch"]),
             statedb=D.constant(c["p2"])),
     )
-    m, r, relaxed = DISSEMINATION_VARIANTS[variant]
-    return replace(base, dissemination=replace(
-        base.dissemination, max_peer_count=m, required_peer_count=r, relaxed=relaxed))
+    return apply_variant(base, variant)
 
 
 def _cores_sweep() -> ScenarioConfig:

@@ -33,16 +33,11 @@ class RunResult:
     invalid_by_prob: dict        # dependency prob -> invalid count (same ledger)
     per_peer_commit_mean: list   # mean block-commit seconds per peer
     tx_trace: list | None = None
+    tx_parents: list | None = None   # parent id or None per tx_trace entry
     block_trace: list | None = None
     error: str | None = None
     eligibility_log: list | None = None
     version: str = _version
-
-    @property
-    def success_ratio(self) -> float:
-        from .metrics import success_ratio
-        c = self.counters
-        return success_ratio(c.created, c.endorsed, c.committed_invalid_mvcc)
 
 
 class Simulation:
@@ -65,7 +60,7 @@ class Simulation:
             config.peers.endorse_concurrency, config.peers.gateway_buffer)
         if record_eligibility:
             self.endorsement.eligibility_log = []
-        self.orderer = Orderer(self, config.cut_rule, n, config.ordering_overhead)
+        self.orderer = Orderer(self, config.cut_rule, n)
         self.engines = [CommitEngine(self, p, config.commit_model, config.commit_mode)
                         for p in self.peers]
         self.controller = WaitingController(self, config.waiting)
@@ -80,7 +75,6 @@ class Simulation:
         self._e2e: list[float] = []
         self._peer_commit_sum = [0.0] * n
         self._peer_commit_n = [0] * n
-        self.committed_txs = 0
         self.last_commit_at = 0.0
         self.last_endorse_at = 0.0
         # time-weighted eligibility: fraction of the run with >= 2 eligible
@@ -112,9 +106,6 @@ class Simulation:
     def on_slot_free(self, peer) -> None:
         self._resolve_pool_mode()
 
-    def on_workload_progress(self) -> None:
-        pass  # termination is handled by drained() checks on the timers
-
     def on_block_cut(self, block) -> None:
         pool = self.source.pool
         for tx in block.txs:
@@ -141,11 +132,9 @@ class Simulation:
         pid = peer.peer_id
         self._peer_commit_sum[pid] += p1 + p2
         self._peer_commit_n[pid] += 1
-        block.commits_left -= 1
         if block.first_commit_at < 0:
             block.first_commit_at = now
             self.last_commit_at = now
-            self.committed_txs += block.size
             e2e = self._e2e
             for tx in block.txs:
                 tx.committed_at = now
@@ -213,15 +202,22 @@ class Simulation:
             if b.first_commit_at < 0:
                 break
             committed_prefix.append(b)
-        n_valid, n_invalid = assign_validity(committed_prefix, txs)
+        primary = self.config.workload.dependency_prob
+        invalid_by_prob = {}
+        for p, parents in self.source.parents.items():
+            invalid = assign_validity(committed_prefix, txs, parents)
+            invalid_by_prob[p] = len(invalid)
+            if p == primary:
+                primary_invalid = invalid
+        for b in committed_prefix:
+            for tx in b.txs:
+                tx.status = TxStatus.COMMITTED_VALID
+        for tx in primary_invalid:
+            tx.status = TxStatus.COMMITTED_INVALID
+        n_invalid = len(primary_invalid)
+        n_valid = sum(b.size for b in committed_prefix) - n_invalid
         counters.committed_valid = n_valid
         counters.committed_invalid_mvcc = n_invalid
-
-        invalid_by_prob = {self.source.dependency_probs[0]: n_invalid}
-        for p in self.source.dependency_probs[1:]:
-            parents = self.source.extra_parents[p]
-            _, inv = assign_validity(committed_prefix, txs, parent_of=parents)
-            invalid_by_prob[p] = inv
 
         if truncated:
             for tx in txs:
@@ -260,9 +256,10 @@ class Simulation:
         per_peer_mean = [s / n if n else 0.0
                          for s, n in zip(self._peer_commit_sum, self._peer_commit_n)]
 
-        tx_trace = block_trace = None
+        tx_trace = tx_parents = block_trace = None
         if self.collect_traces:
             tx_trace = txs
+            tx_parents = self.source.parents[primary]
             block_trace = [(b, [eng.timings[i] for eng in self.engines
                                 if i < len(eng.timings)])
                            for i, b in enumerate(blocks)]
@@ -282,6 +279,7 @@ class Simulation:
             invalid_by_prob=invalid_by_prob,
             per_peer_commit_mean=per_peer_mean,
             tx_trace=tx_trace,
+            tx_parents=tx_parents,
             block_trace=block_trace,
         )
 

@@ -40,7 +40,7 @@ def run_sweep(base: ScenarioConfig, grid: dict, seeds, collect_traces: bool = Fa
             result = run_scenario(cfg, collect_traces=collect_traces)
             rows.append(summary_row(result))
             results.append(result)
-        except (SimulationError, ConfigError, AssertionError) as exc:
+        except (SimulationError, ConfigError) as exc:
             from .config import config_hash
             rows.append({"config_hash": config_hash(cfg), "seed": cfg.seed,
                          "status": "failed", "error": f"{type(exc).__name__}: {exc}"})

@@ -9,13 +9,17 @@ A new transaction becomes dependent on a prior one with probability p; the
 parent is drawn uniformly from the transactions that are still ahead of the
 orderer (created, not dropped, not yet cut into a block). Validity against
 the parent is settled later, from final ledger order.
+
+Every dependency probability a run evaluates (the configured one and any
+extra ones) is drawn by draw_parent from its own RNG stream into its own
+parents sequence, so a probability's parents match a standalone run at it.
 """
 
 from __future__ import annotations
 
 from .kernel import EventKind, RngStream
 
-__all__ = ["TxStatus", "Transaction", "InFlightPool", "assign_dependency", "ArrivalSource"]
+__all__ = ["TxStatus", "Transaction", "InFlightPool", "draw_parent", "ArrivalSource"]
 
 
 class TxStatus:
@@ -30,7 +34,7 @@ class TxStatus:
 
 class Transaction:
     __slots__ = (
-        "tx_id", "client_id", "created_at", "parent",
+        "tx_id", "client_id", "created_at",
         "endorser", "endorse_start", "endorse_end", "quorum_wait", "retries_used",
         "disseminated_to", "ordered_at", "block_num", "block_pos",
         "committed_at", "status", "drop_reason",
@@ -40,7 +44,6 @@ class Transaction:
         self.tx_id = tx_id
         self.client_id = client_id
         self.created_at = created_at
-        self.parent: int | None = None
         self.endorser: int | None = None
         self.endorse_start = -1.0
         self.endorse_end = -1.0
@@ -87,17 +90,15 @@ class InFlightPool:
         return self._items[stream.randint(len(self._items))]
 
 
-def assign_dependency(tx: Transaction, pool: InFlightPool, p: float, stream: RngStream) -> Transaction:
-    """With probability p, make tx depend on a uniform member of the pool.
+def draw_parent(pool: InFlightPool, p: float, stream: RngStream) -> int | None:
+    """With probability p, a uniform member of the pool; None otherwise.
 
-    Consumes exactly one bernoulli draw, plus one index draw when a parent is
-    assigned, so dependency sampling never perturbs other streams.
+    Consumes one bernoulli draw when p > 0, plus one index draw when a
+    parent is chosen, and touches no other stream.
     """
-    if tx.parent is not None:
-        raise ValueError(f"tx {tx.tx_id} already has a parent")
     if p > 0.0 and stream.uniform() < p and len(pool) > 0:
-        tx.parent = pool.choose(stream)
-    return tx
+        return pool.choose(stream)
+    return None
 
 
 def dependency_stream_label(p: float) -> str:
@@ -108,10 +109,9 @@ class ArrivalSource:
     """Generates creation events and routes new transactions to endorsement.
 
     For rate-driven modes each client is a self-rescheduling chain of arrival
-    events, so the pending-event count stays O(num_clients). Extra dependency
-    probabilities may be evaluated alongside the primary one: each has its own
-    RNG stream, so the assignments match what a standalone run at that p would
-    draw.
+    events, so the pending-event count stays O(num_clients). parents maps
+    each dependency probability, the configured one first, to its parents
+    sequence: parents[p][tx_id] is the parent id or None.
     """
 
     def __init__(self, sim, workload_cfg, extra_probs=()):
@@ -122,16 +122,10 @@ class ArrivalSource:
         self._active_clients = 0
         self.pending_pool: list[Transaction] = []  # pool mode backlog (FIFO)
         self._pool_cursor = 0
-        probs = [workload_cfg.dependency_prob]
-        probs += [p for p in extra_probs if p != workload_cfg.dependency_prob]
-        self._probs = probs
-        self._dep_streams = {p: sim.streams.stream(dependency_stream_label(p)) for p in probs}
-        # extra_parents[p][tx_id] = parent tx_id or -1
-        self.extra_parents: dict[float, list[int]] = {p: [] for p in probs[1:]}
-
-    @property
-    def dependency_probs(self) -> list[float]:
-        return self._probs
+        probs = dict.fromkeys((workload_cfg.dependency_prob, *extra_probs))
+        self.parents: dict[float, list[int | None]] = {p: [] for p in probs}
+        self._draws = [(p, sim.streams.stream(dependency_stream_label(p)), self.parents[p])
+                       for p in probs]
 
     def start(self) -> None:
         cfg = self.cfg
@@ -152,7 +146,7 @@ class ArrivalSource:
         if cfg.arrival_process == "deterministic":
             # exactly rate*duration per client, at k/rate for k = 1..n
             if emitted >= int(round(cfg.rate_per_client * cfg.duration)):
-                self._finish_client()
+                self._active_clients -= 1
                 return
             at = (emitted + 1) / cfg.rate_per_client
         else:
@@ -160,15 +154,10 @@ class ArrivalSource:
             base = self.sim.kernel.now if emitted else 0.0
             at = base + gap_stream.exponential(1.0 / cfg.rate_per_client)
             if at > cfg.duration:
-                self._finish_client()
+                self._active_clients -= 1
                 return
         self.sim.kernel.schedule(at, EventKind.ARRIVAL,
                                  lambda: self._arrive(client, emitted))
-
-    def _finish_client(self) -> None:
-        self._active_clients -= 1
-        if self._active_clients == 0:
-            self.sim.on_workload_progress()
 
     def _arrive(self, client: int, emitted: int) -> None:
         tx = self._create(client, self.sim.kernel.now)
@@ -177,15 +166,10 @@ class ArrivalSource:
 
     def _create(self, client_id: int, at: float) -> Transaction:
         tx = Transaction(len(self.txs), client_id, at)
-        primary = self._probs[0]
-        assign_dependency(tx, self.pool, primary, self._dep_streams[primary])
-        for p in self._probs[1:]:
-            stream = self._dep_streams[p]
-            parent = -1
-            if p > 0.0 and stream.uniform() < p and len(self.pool) > 0:
-                parent = self.pool.choose(stream)
-            self.extra_parents[p].append(parent)
-        self.pool.add(tx.tx_id)
+        pool = self.pool
+        for p, stream, parents in self._draws:
+            parents.append(draw_parent(pool, p, stream))
+        pool.add(tx.tx_id)
         self.txs.append(tx)
         return tx
 

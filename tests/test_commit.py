@@ -10,7 +10,6 @@ from eovsim import (
     SimulationIntegrityError,
     assign_validity,
     bench_commit,
-    mvcc_validate,
     run_scenario,
     steady_state_tps,
 )
@@ -87,31 +86,10 @@ def test_local_vs_remote_fetch_selection():
 
 # -- mvcc -----------------------------------------------------------------------
 
-def _tx(tx_id, parent=None, block=(-1, -1), status=TxStatus.CREATED):
+def _tx(tx_id, status=TxStatus.CREATED):
     tx = Transaction(tx_id, 0, float(tx_id))
-    tx.parent = parent
-    tx.block_num, tx.block_pos = block
     tx.status = status
     return tx
-
-
-def test_mvcc_parent_committed_earlier_is_valid():
-    child = _tx(5, parent=2)
-    assert mvcc_validate(child, committed={1, 2, 3}) == TxStatus.COMMITTED_VALID
-
-
-def test_mvcc_no_parent_is_valid():
-    assert mvcc_validate(_tx(5), committed=set()) == TxStatus.COMMITTED_VALID
-
-
-def test_mvcc_uncommitted_parent_is_invalid():
-    child = _tx(5, parent=9)
-    assert mvcc_validate(child, committed={1, 2}) == TxStatus.COMMITTED_INVALID
-
-
-def test_mvcc_dropped_parent_is_vacuously_valid():
-    child = _tx(5, parent=9)
-    assert mvcc_validate(child, committed=set(), dropped={9}) == TxStatus.COMMITTED_VALID
 
 
 class _FakeBlock:
@@ -124,56 +102,66 @@ class _FakeBlock:
         self.first_commit_at = 1.0
 
 
+def test_mvcc_parent_committed_earlier_is_valid():
+    txs = [_tx(0), _tx(1), _tx(2)]
+    blocks = [_FakeBlock(1, txs[:2]), _FakeBlock(2, txs[2:])]
+    assert assign_validity(blocks, txs, [None, None, 1]) == []
+
+
+def test_mvcc_no_parent_is_valid():
+    txs = [_tx(0)]
+    assert assign_validity([_FakeBlock(1, txs)], txs, [None]) == []
+
+
+def test_mvcc_uncommitted_parent_is_invalid():
+    # the parent is endorsed but not yet ordered when its child commits
+    parent, child = _tx(0, status=TxStatus.ENDORSED), _tx(1)
+    assert assign_validity([_FakeBlock(1, [child])], [parent, child], [None, 0]) == [child]
+
+
+def test_mvcc_dropped_parent_is_vacuously_valid():
+    parent, child = _tx(0, status=TxStatus.DROPPED), _tx(1)
+    assert assign_validity([_FakeBlock(1, [child])], [parent, child], [None, 0]) == []
+
+
 def test_positional_rule_brute_force_three_tx_permutations():
     # oracle: a dependent is valid iff its parent appears earlier in ledger
     # order (block, position); enumerate every permutation and parent wiring
     for perm in itertools.permutations([0, 1, 2]):
-        for parents in itertools.product([None, 0, 1, 2], repeat=3):
-            txs = []
-            ok_wiring = True
-            for i in range(3):
-                p = parents[i]
-                if p is not None and p >= i:
-                    ok_wiring = False  # parents must be strictly older
-                txs.append(_tx(i, parent=p if (p is not None and p < i) else None))
-            if not ok_wiring:
-                continue
+        for wiring in itertools.product([None, 0, 1, 2], repeat=3):
+            if any(p is not None and p >= i for i, p in enumerate(wiring)):
+                continue  # parents must be strictly older
+            txs = [_tx(i) for i in range(3)]
             block = _FakeBlock(1, [txs[i] for i in perm])
-            n_valid, n_invalid = assign_validity([block], txs)
+            invalid = {tx.tx_id for tx in assign_validity([block], txs, list(wiring))}
             order = {tx_id: pos for pos, tx_id in enumerate(perm)}
-            for i in range(3):
-                expected_valid = txs[i].parent is None or order[txs[i].parent] < order[i]
-                got_valid = txs[i].status == TxStatus.COMMITTED_VALID
-                assert got_valid == expected_valid, (perm, parents, i)
-            assert n_valid + n_invalid == 3
+            for i, p in enumerate(wiring):
+                expected_valid = p is None or order[p] < order[i]
+                assert (i not in invalid) == expected_valid, (perm, wiring, i)
 
 
 def test_two_tx_block_inverted_dependency_hand_trace():
     # ledger order [child, parent]: the child commits first, parent still in
     # flight -> child invalid, parent valid
     parent = _tx(0)
-    child = _tx(1, parent=0)
+    child = _tx(1)
     block = _FakeBlock(1, [child, parent])
-    assign_validity([block], [parent, child])
-    assert child.status == TxStatus.COMMITTED_INVALID
-    assert parent.status == TxStatus.COMMITTED_VALID
+    assert assign_validity([block], [parent, child], [None, 0]) == [child]
 
 
 def test_parent_in_much_earlier_block_valid():
     parent = _tx(0)
-    child = _tx(1, parent=0)
+    child = _tx(1)
     b1 = _FakeBlock(1, [parent])
     b4 = _FakeBlock(4, [child])
-    assign_validity([b1, b4], [parent, child])
-    assert child.status == TxStatus.COMMITTED_VALID
+    assert assign_validity([b1, b4], [parent, child], [None, 0]) == []
 
 
 def test_fully_dependent_same_block_uncommitted_parents():
     # p=1 chain ordered in reverse: every dependent transaction fails
-    txs = [_tx(0), _tx(1, parent=0), _tx(2, parent=1)]
+    txs = [_tx(0), _tx(1), _tx(2)]
     block = _FakeBlock(1, [txs[2], txs[1], txs[0]])
-    n_valid, n_invalid = assign_validity([block], txs)
-    assert n_invalid == 2 and n_valid == 1
+    assert assign_validity([block], txs, [None, 0, 1]) == [txs[2], txs[1]]
 
 
 # -- scheduling disciplines -------------------------------------------------------

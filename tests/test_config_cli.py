@@ -176,6 +176,21 @@ def test_cli_integrity_failure_exit_3(tmp_path, monkeypatch):
     assert main(["run", str(_write_cfg(tmp_path, cfg))]) == 3
 
 
+def test_cli_conservation_failure_exit_3(tmp_path, monkeypatch, capsys):
+    from eovsim.simulate import Simulation
+    orig = Simulation.on_endorsed
+
+    def uncounted(self, tx):
+        orig(self, tx)
+        if tx.tx_id == 0:
+            self.counters.endorsed -= 1  # an endorsement the counters lose
+
+    monkeypatch.setattr(Simulation, "on_endorsed", uncounted)
+    cfg = tiny_config(out_dir=str(tmp_path / "out"))
+    assert main(["run", str(_write_cfg(tmp_path, cfg))]) == 3
+    assert "conservation violated" in capsys.readouterr().err
+
+
 def test_cli_preset_emit_and_stdout(tmp_path, capsys):
     out = tmp_path / "t9.json"
     assert main(["preset", "waiting-2peer", "--emit", str(out)]) == 0
@@ -225,6 +240,22 @@ def test_cli_sweep_failure_recorded_and_continues(tmp_path, monkeypatch):
     lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3
     assert "SimulationIntegrityError" in lines[1]
+
+
+@pytest.mark.parametrize("seeds", ["x", "1,y", "1..z"])
+def test_cli_sweep_non_integer_seeds_exit_2(tmp_path, capsys, seeds):
+    path = _write_cfg(tmp_path, tiny_config())
+    assert main(["sweep", str(path), "--seeds", seeds, "--out", str(tmp_path / "sw")]) == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("seeds", ["5..1", ","])
+def test_cli_sweep_empty_seed_selection_exit_2(tmp_path, capsys, seeds):
+    path = _write_cfg(tmp_path, tiny_config())
+    assert main(["sweep", str(path), "--seeds", seeds, "--out", str(tmp_path / "sw")]) == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
 
 
 def test_waiting_preset_run_under_five_seconds_wall(tmp_path):

@@ -7,7 +7,6 @@ from eovsim import (
     SimulationIntegrityError,
     WaitingPolicy,
     evaluate_wait,
-    resume_check,
     run_scenario,
 )
 from eovsim.coordination import WaitingController
@@ -29,15 +28,18 @@ def test_gap_within_tau_no_action():
     assert action == "none"
 
 
-def test_gap_beyond_ceiling_stands_down():
-    action, *_ = evaluate_wait([30, 10], POLICY)
-    assert action == "ceiling"
-
-
-def test_resume_boundary_inclusive():
-    assert resume_check([40, 35], POLICY) == "resume"          # gap 5 == tau
-    assert resume_check([40, 34], POLICY) == "continue_pause"  # gap 6
-    assert resume_check([40, 40], POLICY) == "resume"
+def test_gap_beyond_tau_plus_one_is_integrity_failure():
+    # tau + 1 is the largest gap a waiting run can reach; anything wider,
+    # even below the configured ceiling, means the invariant broke
+    assert evaluate_wait([41, 35], POLICY)[0] == "pause"
+    with pytest.raises(SimulationIntegrityError):
+        evaluate_wait([42, 35], POLICY)
+    sim = _wired_sim()
+    ctl = WaitingController(sim, POLICY)
+    sim.peers[0].height, sim.peers[1].height = 30, 10  # beyond the ceiling
+    with pytest.raises(SimulationIntegrityError):
+        ctl.on_commit_event()
+    assert ctl.events == []
 
 
 def _wired_sim():
@@ -53,9 +55,9 @@ def test_boost_switches_distribution_mean_and_restores():
     ctl.apply_boost(1)
     # Exp(mean 2.3) becomes Exp(mean 1.8): factor on the peer's samples
     assert math.isclose(sim.peers[1].boost_factor * POLICY.baseline_means[1], 1.8)
-    assert sim.peers[1].boosted
+    assert ctl.boosted_peer == 1
     ctl.release_boost()
-    assert sim.peers[1].boost_factor == 1.0 and not sim.peers[1].boosted
+    assert sim.peers[1].boost_factor == 1.0 and ctl.boosted_peer is None
 
 
 def test_boost_without_pause_rejected():
@@ -82,20 +84,14 @@ def test_pause_resume_cycle_and_event_log():
     sim.peers[0].height, sim.peers[1].height = 40, 34
     ctl.on_commit_event()
     assert {e.kind for e in ctl.events} == {"pause_start", "boost_start"}
-    sim.peers[1].height = 35  # lagger commits, gap closes to tau
+    ctl.on_commit_event()  # another commit at gap tau + 1 keeps the pause
+    assert ctl.active and sim.peers[0].paused and len(ctl.events) == 2
+    sim.peers[1].height = 35  # lagger commits, gap closes to tau (inclusive)
     ctl.on_commit_event()
     kinds = [e.kind for e in ctl.events]
     assert "pause_end" in kinds and "boost_end" in kinds
-    assert not ctl.active and not sim.peers[0].paused and not sim.peers[1].boosted
-
-
-def test_ceiling_logged_once_per_crossing():
-    sim = _wired_sim()
-    ctl = WaitingController(sim, POLICY)
-    sim.peers[0].height, sim.peers[1].height = 30, 10
-    ctl.on_commit_event()
-    ctl.on_commit_event()
-    assert [e.kind for e in ctl.events] == ["ceiling_exceeded"]
+    assert not ctl.active and not sim.peers[0].paused
+    assert sim.peers[1].boost_factor == 1.0
 
 
 def test_paused_leader_commits_zero_blocks_during_pause():

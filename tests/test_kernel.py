@@ -142,7 +142,6 @@ def test_invalid_distribution_params_rejected():
 def test_per_tx_affine_term():
     dist = D.constant(0.1, per_tx=0.001)
     assert math.isclose(dist.sample(_stream(), block_size=500), 0.6)
-    assert math.isclose(dist.mean_for(500), 0.6)
 
 
 # -- streams -------------------------------------------------------------------

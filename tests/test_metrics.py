@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import pytest
 
-from eovsim import LatencySummary, emit_report, run_scenario, success_ratio, time_ratio
+from eovsim import DistributionSpec as D
+from eovsim import LatencySummary, bench_commit, emit_report, run_scenario, success_ratio
 from eovsim.metrics import fmt, render_summary_csv
-from eovsim.workload import Transaction
+from eovsim.presets import TABLE_PHASE_CONSTANTS
 
 from conftest import tiny_config
 
@@ -28,28 +29,32 @@ def test_success_ratio_created_zero_rejected():
         success_ratio(0, 0, 0)
 
 
+def _bench_time_ratio(p1, p2):
+    return bench_commit(D.constant(p1), D.constant(p2), 100, "serial", 12)["time_ratio"]
+
+
 def test_time_ratio_published_row():
     # the published 2.769 was computed from unrounded means; the rounded
-    # means give 2.7698
-    assert math.isclose(time_ratio(4.404, 1.590), 2.769, abs_tol=1e-3)
+    # 1-1 constants give 2.7698
+    c = TABLE_PHASE_CONSTANTS["1-1"]
+    ratio = _bench_time_ratio(c["vscc"] + c["fetch"], c["p2"])
+    assert math.isclose(ratio, 2.769, abs_tol=1e-3)
 
 
 def test_time_ratio_balanced_and_rounding():
-    assert time_ratio(2.0, 2.0) == 1.0
+    assert _bench_time_ratio(2.0, 2.0) == 1.0
     # 1.54/1.51 rounds to 1.02; the published 1.01 is their rounding artifact
-    assert round(time_ratio(1.54, 1.51), 2) == 1.02
-    with pytest.raises(ValueError):
-        time_ratio(1.0, 0.0)
+    assert round(_bench_time_ratio(1.54, 1.51), 2) == 1.02
 
 
 def test_e2e_latency_simple():
-    from eovsim.metrics import e2e_latency
-    tx = Transaction(0, 0, 10.0)
-    tx.committed_at = 11.0
-    assert e2e_latency(tx) == 1.0
-    tx2 = Transaction(1, 0, 10.0)
-    with pytest.raises(ValueError):
-        e2e_latency(tx2)
+    # the e2e stage is client submission to first-peer commit
+    res = run_scenario(tiny_config(), collect_traces=True)
+    samples = [tx.committed_at - tx.created_at for tx in res.tx_trace if tx.committed_at >= 0]
+    e2e = res.summaries["e2e"]
+    c = res.counters
+    assert e2e.count == len(samples) == c.committed_valid + c.committed_invalid_mvcc
+    assert math.isclose(e2e.mean, sum(samples) / len(samples))
 
 
 def test_nearest_rank_percentiles():

@@ -13,6 +13,7 @@ from eovsim import (
     LeaderPolicy,
     PeerGroupConfig,
     ScenarioConfig,
+    WaitingPolicy,
     WorkloadConfig,
     quorum_satisfied,
     run_scenario,
@@ -22,6 +23,8 @@ from eovsim.simulate import Simulation
 from eovsim.workload import TxStatus
 
 CASES = settings(max_examples=1000, deadline=None, derandomize=True)
+
+LEADER_KINDS = ("max_ht", "soft_max_ht", "ranked_list", "all")
 
 _small = st.floats(min_value=0.001, max_value=0.05)
 
@@ -34,7 +37,7 @@ def _dist(draw):
 
 
 @st.composite
-def scenario(draw, leader_kinds=("max_ht", "soft_max_ht", "ranked_list", "all"),
+def scenario(draw, leader_kinds=LEADER_KINDS,
              allow_truncation=True):
     n = draw(st.integers(2, 4))
     m = draw(st.integers(1, n - 1))
@@ -76,6 +79,82 @@ def scenario(draw, leader_kinds=("max_ht", "soft_max_ht", "ranked_list", "all"),
             pvt_fetch_remote=draw(_dist()), mvcc=draw(_dist()),
             block_store=draw(_dist()), statedb=draw(_dist())),
     )
+
+
+@st.composite
+def waiting_scenario(draw):
+    """Waiting-enabled scenarios with uneven peers, so gaps open and close."""
+    n = draw(st.integers(2, 4))
+    tau = draw(st.integers(1, 3))
+    scales = tuple(draw(st.floats(0.5, 3.0)) for _ in range(n))
+    if draw(st.booleans()):
+        workload = WorkloadConfig(arrival_process="pool", pool_size=draw(st.integers(50, 200)))
+        cut = BlockCutRule(kind="dynamic_timeout", timeout=draw(st.floats(0.02, 0.2)))
+    else:
+        workload = WorkloadConfig(
+            num_clients=draw(st.integers(1, 2)),
+            rate_per_client=draw(st.floats(20.0, 80.0)),
+            duration=draw(st.floats(0.5, 2.0)),
+            arrival_process=draw(st.sampled_from(["deterministic", "poisson"])))
+        cut = BlockCutRule(kind=draw(st.sampled_from(["size_with_timeout", "dynamic_timeout"])),
+                           block_size=draw(st.integers(2, 10)),
+                           timeout=draw(st.floats(0.02, 0.2)))
+    means = tuple(0.1 * s for s in scales)
+    return ScenarioConfig(
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+        horizon=100.0,
+        workload=workload,
+        peers=PeerGroupConfig(count=n, commit_scales=scales,
+                              gateway_buffer=draw(st.integers(0, 4)),
+                              endorse_concurrency=draw(st.integers(1, 4))),
+        dissemination=DisseminationStrategy(max_peer_count=1, required_peer_count=1,
+                                            ack_timeout=0.5),
+        leader=LeaderPolicy(kind=draw(st.sampled_from(LEADER_KINDS)), tau=tau),
+        cut_rule=cut,
+        commit_mode=draw(st.sampled_from(["serial", "pipelined"])),
+        endorse_model=EndorseLatencyModel(
+            execute=draw(_dist()), overhead=D.constant(0.0), ack=D.constant(0.0)),
+        commit_model=CommitLatencyModel(vscc=draw(_dist()), statedb=D.exponential(0.1)),
+        ordering_overhead=draw(st.sampled_from([0.0, 0.01, 0.2])),
+        waiting=WaitingPolicy(enabled=True, tau=tau, ceiling=tau + draw(st.integers(1, 4)),
+                              boosted_mean=draw(st.floats(0.2, 0.9)) * max(means),
+                              baseline_means=means),
+    )
+
+
+@CASES
+@given(waiting_scenario())
+def test_waiting_gap_bound_and_paused_peers_idle(cfg):
+    # checked from the block trace and the wait log, outside the controller;
+    # completions at one instant may be replayed in any order, because no
+    # max-height peer has a phase 2 in flight while the gap is tau + 1
+    res = run_scenario(cfg, collect_traces=True)
+    done = sorted((t.p2_end, t.peer_id) for _, timings in res.block_trace
+                  for t in timings if 0 <= t.p2_start and t.p2_end <= res.makespan)
+    heights = [0] * cfg.peers.count
+    for _, peer in done:
+        heights[peer] += 1
+        assert max(heights) - min(heights) <= cfg.waiting.tau + 1
+    windows, open_at = [], {}
+    for ev in res.wait_events:
+        if ev.kind == "pause_start":
+            open_at[ev.leader] = ev.at
+        elif ev.kind == "pause_end":
+            windows.append((ev.leader, open_at.pop(ev.leader), ev.at))
+    windows += [(peer, start, float("inf")) for peer, start in open_at.items()]
+    for peer, start, end in windows:
+        assert not any(p == peer and start < at < end for at, p in done)
+
+
+@CASES
+@given(scenario(), st.floats(0.0, 1.0))
+def test_extra_dependency_prob_matches_standalone_run(cfg, q):
+    res = run_scenario(cfg, collect_traces=False, extra_dep_probs=(q,))
+    primary = cfg.workload.dependency_prob
+    assert res.invalid_by_prob[primary] == res.counters.committed_invalid_mvcc
+    alone = run_scenario(replace(cfg, workload=replace(cfg.workload, dependency_prob=q)),
+                         collect_traces=False)
+    assert res.invalid_by_prob[q] == alone.counters.committed_invalid_mvcc
 
 
 @CASES

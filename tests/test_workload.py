@@ -1,7 +1,7 @@
 import math
 from dataclasses import replace
 
-from eovsim import InFlightPool, RngStream, Transaction, assign_dependency, run_scenario
+from eovsim import InFlightPool, RngStream, draw_parent, run_scenario
 from eovsim.workload import TxStatus
 
 from conftest import tiny_config
@@ -51,18 +51,14 @@ def test_dependency_p_zero_never_assigns():
     for i in range(10):
         pool.add(i)
     stream = RngStream(1, "dep")
-    for i in range(100, 200):
-        tx = Transaction(i, 0, float(i))
-        assign_dependency(tx, pool, 0.0, stream)
-        assert tx.parent is None
+    for _ in range(100):
+        assert draw_parent(pool, 0.0, stream) is None
 
 
 def test_dependency_p_one_singleton_pool():
     pool = InFlightPool()
     pool.add(42)
-    tx = Transaction(100, 0, 1.0)
-    assign_dependency(tx, pool, 1.0, RngStream(1, "dep"))
-    assert tx.parent == 42
+    assert draw_parent(pool, 1.0, RngStream(1, "dep")) == 42
 
 
 def test_dependency_frequency_and_uniformity():
@@ -75,12 +71,11 @@ def test_dependency_frequency_and_uniformity():
     n = 100_000
     counts = dict.fromkeys(members, 0)
     assigned = 0
-    for i in range(n):
-        tx = Transaction(1000 + i, 0, float(i))
-        assign_dependency(tx, pool, 0.5, stream)
-        if tx.parent is not None:
+    for _ in range(n):
+        parent = draw_parent(pool, 0.5, stream)
+        if parent is not None:
             assigned += 1
-            counts[tx.parent] += 1
+            counts[parent] += 1
     assert abs(assigned / n - 0.5) <= 0.01
     expected = assigned / 10
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -91,12 +86,12 @@ def test_parents_strictly_older_acyclic():
     cfg = tiny_config(workload=replace(tiny_config().workload, dependency_prob=0.7))
     res = run_scenario(cfg, collect_traces=True)
     txs = res.tx_trace
-    for tx in txs:
-        if tx.parent is not None:
+    for tx, parent in zip(txs, res.tx_parents):
+        if parent is not None:
             # strictly older in creation order; simultaneous multi-client
             # arrivals share a timestamp, so the wall clock is only <=
-            assert txs[tx.parent].tx_id < tx.tx_id
-            assert txs[tx.parent].created_at <= tx.created_at
+            assert txs[parent].tx_id < tx.tx_id
+            assert txs[parent].created_at <= tx.created_at
 
 
 def test_conservation_created_equals_endorsed_plus_dropped(small_cfg):
@@ -115,3 +110,10 @@ def test_pool_mode_creates_all_at_time_zero():
     assert res.counters.created == 200
     assert all(tx.created_at == 0.0 for tx in res.tx_trace)
     assert all(tx.status == TxStatus.COMMITTED_VALID for tx in res.tx_trace)
+
+
+def test_repeated_extra_dependency_prob_counted_once(small_cfg):
+    once = run_scenario(small_cfg, collect_traces=False, extra_dep_probs=(0.6,))
+    twice = run_scenario(small_cfg, collect_traces=False, extra_dep_probs=(0.6, 0.6))
+    assert once.invalid_by_prob[0.6] > 0
+    assert twice.invalid_by_prob == once.invalid_by_prob
