@@ -34,12 +34,52 @@ def test_gap_beyond_tau_plus_one_is_integrity_failure():
     assert evaluate_wait([41, 35], POLICY)[0] == "pause"
     with pytest.raises(SimulationIntegrityError):
         evaluate_wait([42, 35], POLICY)
+
+
+def test_gap_beyond_ceiling_stands_down():
+    # a gap beyond the ceiling cannot occur while waiting is enabled: the
+    # controller raises instead of acting, pausing and boosting nobody
     sim = _wired_sim()
     ctl = WaitingController(sim, POLICY)
-    sim.peers[0].height, sim.peers[1].height = 30, 10  # beyond the ceiling
+    sim.peers[0].height, sim.peers[1].height = 30, 10
     with pytest.raises(SimulationIntegrityError):
         ctl.on_commit_event()
+    assert not ctl.active and ctl.paused == set() and ctl.boosted_peer is None
+    assert not any(p.paused for p in sim.peers)
+    assert all(p.boost_factor == 1.0 for p in sim.peers)
+
+
+def test_resume_boundary_inclusive():
+    sim = _wired_sim()
+    ctl = WaitingController(sim, POLICY)
+    sim.peers[0].height, sim.peers[1].height = 40, 34  # gap 6 = tau + 1
+    ctl.on_commit_event()
+    ctl.on_commit_event()
+    assert ctl.active and sim.peers[0].paused          # gap 6: pause continues
+    sim.peers[1].height = 35                            # gap 5 == tau
+    ctl.on_commit_event()
+    assert not ctl.active and not sim.peers[0].paused  # resumes at tau
+    sim.peers[1].height = 34
+    ctl.on_commit_event()
+    assert ctl.active
+    sim.peers[1].height = 40                            # gap 0
+    ctl.on_commit_event()
+    assert not ctl.active and not sim.peers[0].paused
+
+
+def test_ceiling_logged_once_per_crossing():
+    # crossing the ceiling is an integrity failure, not a logged event: every
+    # commit event beyond it raises and the log stays empty
+    sim = _wired_sim()
+    ctl = WaitingController(sim, POLICY)
+    sim.peers[0].height, sim.peers[1].height = 30, 10
+    for _ in range(2):
+        with pytest.raises(SimulationIntegrityError):
+            ctl.on_commit_event()
     assert ctl.events == []
+    res = run_scenario(preset("waiting-2peer").with_seed(3), collect_traces=False)
+    kinds = {e.kind for e in res.wait_events}
+    assert kinds == {"pause_start", "pause_end", "boost_start", "boost_end"}
 
 
 def _wired_sim():
