@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig, emit_config, load_config
@@ -67,10 +68,8 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
     if args.out is not None:
-        from dataclasses import replace
         cfg = replace(cfg, out_dir=args.out)
     if args.no_traces:
-        from dataclasses import replace
         cfg = replace(cfg, emit_traces=False)
     result = run_scenario(cfg)
     written = emit_report(result, cfg.out_dir)

@@ -2,18 +2,22 @@
 
 The on-disk format is JSON. Any numeric field may be written with an `_ms`
 suffix (milliseconds); it is converted to seconds and stored under the
-unsuffixed name at load time. Unknown fields are rejected with their path so
-typos fail loudly.
+unsuffixed name at load time. The dataclasses below are the schema: loading
+and emitting walk their fields, every value is checked against its field's
+annotation, and unknown fields are rejected with their path so typos fail
+loudly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
-from .kernel import DistributionSpec
+from .kernel import FAMILY_PARAMS, DistributionSpec
 
 __all__ = [
     "ConfigError",
@@ -24,12 +28,14 @@ __all__ = [
     "BlockCutRule",
     "CommitLatencyModel",
     "WaitingPolicy",
+    "EndorseLatencyModel",
     "ScenarioConfig",
+    "validate",
     "load_config",
     "loads_config",
-    "config_to_dict",
     "emit_config",
     "config_hash",
+    "set_by_path",
 ]
 
 ARRIVAL_PROCESSES = ("deterministic", "poisson", "pool")
@@ -138,18 +144,26 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# JSON <-> dataclass plumbing
+# JSON <-> dataclass plumbing, derived from the dataclass fields and annotations
 
-_DIST_FIELDS = {
-    "family": str,
-    "value": float,
-    "mean": float,
-    "std": float,
-    "samples": list,
-    "path": str,
-    "scale": float,
-    "per_tx": float,
-}
+
+def _field_types(cls, acc: dict) -> dict:
+    """Map cls and every dataclass nested in it to {field name: resolved type}."""
+    hints = get_type_hints(cls)
+    acc[cls] = {f.name: hints[f.name] for f in fields(cls)}
+    for tp in acc[cls].values():
+        if is_dataclass(tp) and tp not in acc:
+            _field_types(tp, acc)
+    return acc
+
+
+# Resolved once at import: get_type_hints re-walks the annotations on every
+# call, which would dominate set_by_path in a sweep.
+_FIELD_TYPES = _field_types(ScenarioConfig, {})
+_FLOATS = tuple[float, ...]
+_EXPECTED = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+             _FLOATS: "a list of numbers"}
+_BAD = object()  # a value that failed to load; its error is already recorded
 
 
 def _normalize_ms(obj, path, errors):
@@ -171,140 +185,94 @@ def _normalize_ms(obj, path, errors):
     return obj
 
 
-def _check_unknown(given: dict, known, path, errors):
-    for key in given:
-        if key not in known:
-            errors.append(f"{path}{key}: unknown field")
+def _read(tp, val, path, errors, base_dir):
+    """val loaded as type tp. A problem is appended to errors and gives _BAD.
+
+    An int is accepted for a float and stored as a float; a bool is never an
+    int; a tuple of floats is written as a JSON list.
+    """
+    if type(val) is tp:
+        return val
+    if tp is float and type(val) is int and abs(val) <= sys.float_info.max:
+        return float(val)
+    if tp is DistributionSpec:
+        return _read_dist(val, path, errors, base_dir)
+    if tp in _FIELD_TYPES:
+        return _read_fields(tp, val, path, errors, base_dir)
+    if tp == _FLOATS and isinstance(val, list):
+        items = tuple(_read(float, v, path, errors, base_dir) for v in val)
+        return _BAD if _BAD in items else items
+    errors.append(f"{path}: expected {_EXPECTED[tp]}, got {json.dumps(val)}")
+    return _BAD
 
 
-def _dist_from_dict(d, path, errors, base_dir=None) -> DistributionSpec:
-    if not isinstance(d, dict):
-        errors.append(f"{path}: expected an object")
-        return DistributionSpec.constant(0.0)
-    _check_unknown(d, _DIST_FIELDS, path + ".", errors)
-    kwargs = {k: d[k] for k in ("value", "mean", "std", "scale", "per_tx") if k in d}
-    family = d.get("family", "constant")
-    samples = d.get("samples")
-    if "path" in d:
-        p = Path(d["path"])
-        if base_dir is not None and not p.is_absolute():
-            p = Path(base_dir) / p
-        try:
-            samples = [float(line) for line in p.read_text().split()]
-        except OSError as exc:
-            errors.append(f"{path}.path: cannot read {p}: {exc}")
-            return DistributionSpec.constant(0.0)
-    try:
-        if family == "empirical":
-            extra = {k: v for k, v in kwargs.items() if k in ("scale", "per_tx")}
-            return DistributionSpec.empirical(samples or (), **extra)
-        return DistributionSpec(family=family, samples=(), **kwargs)
-    except (ValueError, TypeError) as exc:
-        errors.append(f"{path}: {exc}")
-        return DistributionSpec.constant(0.0)
-
-
-def _dist_to_dict(spec: DistributionSpec) -> dict:
-    d: dict = {"family": spec.family}
-    if spec.family == "constant":
-        d["value"] = spec.value
-    elif spec.family == "exponential":
-        d["mean"] = spec.mean
-    elif spec.family == "normal":
-        d["mean"] = spec.mean
-        d["std"] = spec.std
-    else:
-        d["samples"] = list(spec.samples)
-    if spec.scale != 1.0:
-        d["scale"] = spec.scale
-    if spec.per_tx != 0.0:
-        d["per_tx"] = spec.per_tx
-    return d
-
-
-_SECTION_FIELDS = {
-    "workload": ("num_clients", "rate_per_client", "duration", "dependency_prob",
-                 "arrival_process", "pool_size"),
-    "peers": ("count", "commit_scales", "gateway_buffer", "endorse_concurrency"),
-    "dissemination": ("max_peer_count", "required_peer_count", "relaxed",
-                      "ack_timeout", "max_retries"),
-    "leader": ("kind", "tau"),
-    "cut_rule": ("kind", "block_size", "timeout"),
-    "waiting": ("enabled", "tau", "ceiling", "boosted_mean", "baseline_means"),
-    "endorse_model": ("execute", "overhead", "ack"),
-    "commit_model": ("vscc", "pvt_fetch_local", "pvt_fetch_remote", "mvcc",
-                     "block_store", "statedb", "vscc_core_scale"),
-}
-
-_TOP_FIELDS = ("seed", "horizon", "out_dir", "workload", "peers", "dissemination",
-               "leader", "cut_rule", "commit_mode", "endorse_model", "commit_model",
-               "ordering_overhead", "waiting", "emit_traces")
-
-
-def _build_section(cls, raw, name, errors, dist_fields=(), base_dir=None, tuple_fields=()):
-    if raw is None:
-        return cls()
+def _read_fields(cls, raw, path, errors, base_dir):
     if not isinstance(raw, dict):
-        errors.append(f"{name}: expected an object")
-        return cls()
-    _check_unknown(raw, _SECTION_FIELDS[name], f"{name}.", errors)
+        errors.append(f"{path}: expected an object, got {json.dumps(raw)}")
+        return _BAD
+    types = _FIELD_TYPES[cls]
+    n_errors = len(errors)
     kwargs = {}
     for key, val in raw.items():
-        if key not in _SECTION_FIELDS[name]:
+        sub = f"{path}.{key}" if path else key
+        if key not in types:
+            errors.append(f"{sub}: unknown field")
             continue
-        if key in dist_fields:
-            kwargs[key] = _dist_from_dict(val, f"{name}.{key}", errors, base_dir)
-        elif key in tuple_fields:
-            if not isinstance(val, list):
-                errors.append(f"{name}.{key}: expected a list")
-                continue
-            kwargs[key] = tuple(val)
-        else:
-            kwargs[key] = val
+        kwargs[key] = _read(types[key], val, sub, errors, base_dir)
+    return cls(**kwargs) if len(errors) == n_errors else _BAD
+
+
+def _read_dist(raw, path, errors, base_dir):
+    """A DistributionSpec from its family (default constant) and the parameters
+    FAMILY_PARAMS lists for it, plus scale and per_tx. An empirical family may
+    name a `path` to a file of whitespace-separated samples instead."""
+    if not isinstance(raw, dict):
+        errors.append(f"{path}: expected an object, got {json.dumps(raw)}")
+        return _BAD
+    raw = dict(raw)
+    family = raw.setdefault("family", "constant")
+    if not isinstance(family, str) or family not in FAMILY_PARAMS:
+        errors.append(f"{path}.family: {json.dumps(family)} not in {tuple(FAMILY_PARAMS)}")
+        return _BAD
+    if family == "empirical" and "path" in raw:
+        samples = _read_samples(raw.pop("path"), f"{path}.path", errors, base_dir)
+        if samples is _BAD:
+            return _BAD
+        raw["samples"] = samples
+    params = (*_FIELD_TYPES[DistributionSpec], "path")
+    takes = ("family", "scale", "per_tx", *FAMILY_PARAMS[family])
+    for key in [k for k in raw if k in params and k not in takes]:
+        errors.append(f"{path}.{key}: not a parameter of the {family} family")
+        del raw[key]
     try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        errors.append(f"{name}: {exc}")
-        return cls()
+        return _read_fields(DistributionSpec, raw, path, errors, base_dir)
+    except ValueError as exc:
+        errors.append(f"{path}: {exc}")
+        return _BAD
+
+
+def _read_samples(name, path, errors, base_dir):
+    name = _read(str, name, path, errors, base_dir)
+    if name is _BAD:
+        return _BAD
+    p = Path(name)
+    if base_dir is not None and not p.is_absolute():
+        p = Path(base_dir) / p
+    try:
+        return [float(token) for token in p.read_text().split()]
+    except OSError as exc:
+        errors.append(f"{path}: cannot read {p}: {exc}")
+    except ValueError as exc:
+        errors.append(f"{path}: {p}: {exc}")
+    return _BAD
 
 
 def _from_dict(raw: dict, base_dir=None) -> ScenarioConfig:
     errors: list[str] = []
     raw = _normalize_ms(raw, "", errors)
-    _check_unknown(raw, _TOP_FIELDS, "", errors)
-
-    workload = _build_section(WorkloadConfig, raw.get("workload"), "workload", errors)
-    peers = _build_section(PeerGroupConfig, raw.get("peers"), "peers", errors,
-                           tuple_fields=("commit_scales",))
-    dissem = _build_section(DisseminationStrategy, raw.get("dissemination"), "dissemination", errors)
-    leader = _build_section(LeaderPolicy, raw.get("leader"), "leader", errors)
-    cut = _build_section(BlockCutRule, raw.get("cut_rule"), "cut_rule", errors)
-    waiting = _build_section(WaitingPolicy, raw.get("waiting"), "waiting", errors,
-                             tuple_fields=("baseline_means",))
-    endorse = _build_section(EndorseLatencyModel, raw.get("endorse_model"), "endorse_model",
-                             errors, dist_fields=("execute", "overhead", "ack"), base_dir=base_dir)
-    commit = _build_section(CommitLatencyModel, raw.get("commit_model"), "commit_model", errors,
-                            dist_fields=("vscc", "pvt_fetch_local", "pvt_fetch_remote",
-                                         "mvcc", "block_store", "statedb"),
-                            base_dir=base_dir)
-
-    cfg = ScenarioConfig(
-        seed=raw.get("seed", 1),
-        horizon=raw.get("horizon", 10_000.0),
-        out_dir=raw.get("out_dir", "out"),
-        workload=workload,
-        peers=peers,
-        dissemination=dissem,
-        leader=leader,
-        cut_rule=cut,
-        commit_mode=raw.get("commit_mode", "serial"),
-        endorse_model=endorse,
-        commit_model=commit,
-        ordering_overhead=raw.get("ordering_overhead", 0.0),
-        waiting=waiting,
-        emit_traces=raw.get("emit_traces", True),
-    )
-    errors.extend(validate(cfg))
+    cfg = _read_fields(ScenarioConfig, raw, "", errors, base_dir)
+    if not errors:
+        errors = validate(cfg)
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -405,63 +373,27 @@ def load_config(path) -> ScenarioConfig:
     return loads_config(text, base_dir=path.parent)
 
 
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "horizon": cfg.horizon,
-        "out_dir": cfg.out_dir,
-        "workload": {
-            "num_clients": cfg.workload.num_clients,
-            "rate_per_client": cfg.workload.rate_per_client,
-            "duration": cfg.workload.duration,
-            "dependency_prob": cfg.workload.dependency_prob,
-            "arrival_process": cfg.workload.arrival_process,
-            "pool_size": cfg.workload.pool_size,
-        },
-        "peers": {
-            "count": cfg.peers.count,
-            "commit_scales": list(cfg.peers.commit_scales),
-            "gateway_buffer": cfg.peers.gateway_buffer,
-            "endorse_concurrency": cfg.peers.endorse_concurrency,
-        },
-        "dissemination": {
-            "max_peer_count": cfg.dissemination.max_peer_count,
-            "required_peer_count": cfg.dissemination.required_peer_count,
-            "relaxed": cfg.dissemination.relaxed,
-            "ack_timeout": cfg.dissemination.ack_timeout,
-            "max_retries": cfg.dissemination.max_retries,
-        },
-        "leader": {"kind": cfg.leader.kind, "tau": cfg.leader.tau},
-        "cut_rule": {
-            "kind": cfg.cut_rule.kind,
-            "block_size": cfg.cut_rule.block_size,
-            "timeout": cfg.cut_rule.timeout,
-        },
-        "commit_mode": cfg.commit_mode,
-        "endorse_model": {
-            "execute": _dist_to_dict(cfg.endorse_model.execute),
-            "overhead": _dist_to_dict(cfg.endorse_model.overhead),
-            "ack": _dist_to_dict(cfg.endorse_model.ack),
-        },
-        "commit_model": {
-            "vscc": _dist_to_dict(cfg.commit_model.vscc),
-            "pvt_fetch_local": _dist_to_dict(cfg.commit_model.pvt_fetch_local),
-            "pvt_fetch_remote": _dist_to_dict(cfg.commit_model.pvt_fetch_remote),
-            "mvcc": _dist_to_dict(cfg.commit_model.mvcc),
-            "block_store": _dist_to_dict(cfg.commit_model.block_store),
-            "statedb": _dist_to_dict(cfg.commit_model.statedb),
-            "vscc_core_scale": cfg.commit_model.vscc_core_scale,
-        },
-        "ordering_overhead": cfg.ordering_overhead,
-        "waiting": {
-            "enabled": cfg.waiting.enabled,
-            "tau": cfg.waiting.tau,
-            "ceiling": cfg.waiting.ceiling,
-            "boosted_mean": cfg.waiting.boosted_mean,
-            "baseline_means": list(cfg.waiting.baseline_means),
-        },
-        "emit_traces": cfg.emit_traces,
-    }
+def _to_json(val):
+    tp = type(val)
+    if tp is DistributionSpec:
+        return _dist_to_dict(val)
+    if tp in _FIELD_TYPES:
+        return config_to_dict(val)
+    return list(val) if tp is tuple else val
+
+
+def config_to_dict(cfg) -> dict:
+    """cfg's fields as JSON values, nested dataclasses as objects."""
+    return {name: _to_json(getattr(cfg, name)) for name in _FIELD_TYPES[type(cfg)]}
+
+
+def _dist_to_dict(spec: DistributionSpec) -> dict:
+    d = {name: _to_json(getattr(spec, name)) for name in ("family", *FAMILY_PARAMS[spec.family])}
+    if spec.scale != 1.0:
+        d["scale"] = spec.scale
+    if spec.per_tx != 0.0:
+        d["per_tx"] = spec.per_tx
+    return d
 
 
 def emit_config(cfg: ScenarioConfig, path=None) -> str:

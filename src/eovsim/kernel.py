@@ -25,6 +25,7 @@ __all__ = [
     "EventHandle",
     "SimKernel",
     "DistributionSpec",
+    "FAMILY_PARAMS",
     "RngStream",
     "StreamRegistry",
 ]
@@ -188,19 +189,25 @@ class StreamRegistry:
         return s
 
 
-_FAMILIES = ("constant", "exponential", "normal", "empirical")
+# The parameters each distribution family reads; scale and per_tx apply to all.
+FAMILY_PARAMS = {
+    "constant": ("value",),
+    "exponential": ("mean",),
+    "normal": ("mean", "std"),
+    "empirical": ("samples",),
+}
 
 
 @dataclass(frozen=True)
 class DistributionSpec:
     """One latency distribution, in seconds.
 
-    family:
-      constant    params: value
-      exponential params: mean (> 0)
-      normal      params: mean, std — truncated at zero by resampling, so the
+    family, with the parameters FAMILY_PARAMS lists for it:
+      constant    value
+      exponential mean (> 0)
+      normal      mean, std — truncated at zero by resampling, so the
                   calibrated mean is not distorted by clamping
-      empirical   params: samples (non-empty list), drawn uniformly
+      empirical   samples (non-empty list), drawn uniformly
     scale: multiplicative factor applied to every sample.
     per_tx: optional affine term in seconds per transaction of the enclosing
       block (commit stages only); the stage sample is still per block.
@@ -215,7 +222,7 @@ class DistributionSpec:
     per_tx: float = 0.0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILY_PARAMS:
             raise ValueError(f"unknown distribution family {self.family!r}")
         if self.scale <= 0:
             raise ValueError("scale must be positive")

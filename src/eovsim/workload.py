@@ -122,7 +122,8 @@ class ArrivalSource:
         self._active_clients = 0
         self.pending_pool: list[Transaction] = []  # pool mode backlog (FIFO)
         self._pool_cursor = 0
-        probs = dict.fromkeys((workload_cfg.dependency_prob, *extra_probs))
+        # float keys: the stream label is repr(p), and 1 must draw as 1.0 does
+        probs = dict.fromkeys(float(p) for p in (workload_cfg.dependency_prob, *extra_probs))
         self.parents: dict[float, list[int | None]] = {p: [] for p in probs}
         self._draws = [(p, sim.streams.stream(dependency_stream_label(p)), self.parents[p])
                        for p in probs]

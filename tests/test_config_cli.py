@@ -1,12 +1,17 @@
+import csv
+import dataclasses
 import json
 import math
 from dataclasses import replace
+from typing import get_type_hints
 
 import pytest
 
-from eovsim import ConfigError, config_hash, emit_config, load_config, loads_config
+from eovsim import (ConfigError, DistributionSpec, ScenarioConfig, config_hash, emit_config,
+                    load_config, loads_config)
 from eovsim.cli import main
 from eovsim.config import set_by_path
+from eovsim.kernel import FAMILY_PARAMS
 from eovsim.presets import preset, preset_names
 
 from conftest import tiny_config
@@ -88,11 +93,34 @@ def test_ms_suffix_converted_to_seconds():
     assert math.isclose(cfg.commit_model.vscc.value, 0.806)
 
 
-def test_config_round_trip_identity():
-    cfg = preset("waiting-2peer")
+# config_hash of every preset and dissemination variant, pinned so that a
+# change to the schema plumbing cannot silently re-key existing results
+PINNED_CONFIG_HASHES = [
+    ("blocksize-high", None, "cd72463554baf843"),
+    ("blocksize-low", None, "7b4ac9f4562372ac"),
+    ("cores-sweep", None, "3be59ff8a8992380"),
+    ("leader-250x300", None, "b15ab5be28bc6881"),
+    ("pipeline-400x600", None, "e3ba0a4c9b3fc037"),
+    ("pvtdata-250x600", None, "97363a4724c5f230"),
+    ("waiting-2peer", None, "12285f7982d2081e"),
+    ("pvtdata-250x600", "1-1", "97363a4724c5f230"),
+    ("pvtdata-250x600", "4-4", "3821e6b9b14ec10d"),
+    ("pvtdata-250x600", "4-1", "f6be98bfe68b63d0"),
+    ("pvtdata-250x600", "4-1*", "96776890930640d5"),
+    ("pipeline-400x600", "1-1", "6055bfadf2c9ab20"),
+    ("pipeline-400x600", "4-4", "3be59ff8a8992380"),
+    ("pipeline-400x600", "4-1", "3cd6a0d27099cd04"),
+    ("pipeline-400x600", "4-1*", "e3ba0a4c9b3fc037"),
+]
+
+
+@pytest.mark.parametrize("name, variant, digest", [
+    pytest.param(n, v, h, id=n if v is None else f"{n}:{v}") for n, v, h in PINNED_CONFIG_HASHES])
+def test_config_round_trip_identity(name, variant, digest):
+    cfg = preset(name, variant)
     again = loads_config(emit_config(cfg))
     assert again == cfg
-    assert config_hash(again) == config_hash(cfg)
+    assert config_hash(again) == config_hash(cfg) == digest
 
 
 def test_hash_changes_iff_any_field_changes():
@@ -118,6 +146,84 @@ def test_empirical_samples_from_file(tmp_path):
     cfg_path.write_text(json.dumps(raw))
     cfg = load_config(cfg_path)
     assert cfg.endorse_model.ack.samples == (0.1, 0.2, 0.3)
+
+
+def test_empirical_samples_file_bad_line_exit_2(tmp_path, capsys):
+    (tmp_path / "trace.txt").write_text("0.1\nfast\n0.3\n")
+    raw = json.loads(emit_config(tiny_config(out_dir=str(tmp_path / "out"))))
+    raw["endorse_model"]["ack"] = {"family": "empirical", "path": "trace.txt"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: endorse_model.ack.path:" in err and "'fast'" in err
+
+
+_DIST_PARAMS = sorted({p for params in FAMILY_PARAMS.values() for p in params})
+
+
+@pytest.mark.parametrize("family, param", [
+    (family, param) for family, params in FAMILY_PARAMS.items()
+    for param in _DIST_PARAMS if param not in params] + [("exponential", "path")])
+def test_distribution_parameter_outside_its_family_rejected(family, param):
+    spec = {p: [0.1] if p == "samples" else 0.1 for p in (*FAMILY_PARAMS[family], param)}
+    raw = json.loads(emit_config(tiny_config()))
+    raw["commit_model"]["vscc"] = {"family": family, **spec}
+    with pytest.raises(ConfigError) as err:
+        loads_config(json.dumps(raw))
+    assert err.value.errors == [
+        f"commit_model.vscc.{param}: not a parameter of the {family} family"]
+
+
+def _schema_leaves(cls, prefix=""):
+    """(dotted path, type) of every field that holds a JSON value, not an object
+    of fields, read from the dataclasses so that a new field is covered."""
+    hints = get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        tp = hints[f.name]
+        if dataclasses.is_dataclass(tp) and tp is not DistributionSpec:
+            yield from _schema_leaves(tp, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", tp
+
+
+_WRONG_TYPED = {
+    int: ("5", 2.5, True),
+    float: ("x", False),
+    bool: (1, "false"),
+    str: (5,),
+    tuple[float, ...]: (0.5, ["x"]),
+    DistributionSpec: (0.5,),
+}
+
+
+@pytest.mark.parametrize("path, value", [
+    pytest.param(path, value, id=f"{path}={json.dumps(value)}")
+    for path, tp in _schema_leaves(ScenarioConfig) for value in _WRONG_TYPED[tp]])
+def test_cli_wrong_typed_field_exit_2(tmp_path, capsys, path, value):
+    raw = json.loads(emit_config(tiny_config(out_dir=str(tmp_path / "out"))))
+    *parents, leaf = path.split(".")
+    node = raw
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: expected ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_accepted_for_float_and_stored_as_float():
+    raw = json.loads(emit_config(tiny_config()))
+    raw["workload"]["dependency_prob"] = 1
+    cfg = loads_config(json.dumps(raw))
+    assert cfg.workload.dependency_prob == 1.0
+    assert type(cfg.workload.dependency_prob) is float
+    raw["horizon"] = 10 ** 400  # an integer no float can hold
+    with pytest.raises(ConfigError) as err:
+        loads_config(json.dumps(raw))
+    assert err.value.errors[0].startswith("horizon: expected a number")
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -248,6 +354,24 @@ def test_cli_sweep_non_integer_seeds_exit_2(tmp_path, capsys, seeds):
     assert main(["sweep", str(path), "--seeds", seeds, "--out", str(tmp_path / "sw")]) == 2
     assert "--seeds" in capsys.readouterr().err
     assert not (tmp_path / "sw").exists()
+
+
+def test_cli_sweep_wrong_typed_grid_value_exit_2(tmp_path, capsys):
+    path = _write_cfg(tmp_path, tiny_config())
+    assert main(["sweep", str(path), "--grid", "peers.count=x",
+                 "--out", str(tmp_path / "sw")]) == 2
+    assert 'config error: peers.count: expected an integer, got "x"' in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
+def test_cli_sweep_integer_and_float_grid_value_same_config_hash(tmp_path):
+    path = _write_cfg(tmp_path, tiny_config())
+    assert main(["sweep", str(path), "--grid", "cut_rule.timeout=2,2.0",
+                 "--out", str(tmp_path / "sw")]) == 0
+    with open(tmp_path / "sw" / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 and not any(r.get("error") for r in rows)
+    assert rows[0]["config_hash"] == rows[1]["config_hash"]
 
 
 @pytest.mark.parametrize("seeds", ["5..1", ","])

@@ -117,3 +117,12 @@ def test_repeated_extra_dependency_prob_counted_once(small_cfg):
     twice = run_scenario(small_cfg, collect_traces=False, extra_dep_probs=(0.6, 0.6))
     assert once.invalid_by_prob[0.6] > 0
     assert twice.invalid_by_prob == once.invalid_by_prob
+
+
+def test_integer_dependency_prob_draws_like_its_float(small_cfg):
+    as_int = run_scenario(small_cfg, collect_traces=False, extra_dep_probs=(1,))
+    alone = run_scenario(replace(small_cfg, workload=replace(small_cfg.workload,
+                                                             dependency_prob=1.0)),
+                         collect_traces=False)
+    assert alone.counters.committed_invalid_mvcc > 0
+    assert as_int.invalid_by_prob[1.0] == alone.counters.committed_invalid_mvcc
