@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, ScenarioConfig, emit_config, load_config
+from .config import ConfigError, ScenarioConfig, emit_config, load_config, validate
 from .kernel import SimulationIntegrityError
 from .metrics import emit_report, fmt, render_summary_csv
 from .presets import preset, preset_names
@@ -44,6 +44,8 @@ def _parse_seeds(text: str) -> list[int]:
         raise ConfigError([f"--seeds {text!r}: expected A..B or a comma list of integers"]) from None
     if not seeds:
         raise ConfigError([f"--seeds {text!r}: selects no seeds (empty list or reversed range)"])
+    if min(seeds) < 0:
+        raise ConfigError([f"--seeds {text!r}: seeds must be >= 0"])
     return seeds
 
 
@@ -67,6 +69,9 @@ def _cmd_run(args) -> int:
     cfg = _load_target(args.config)
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
+        errors = validate(cfg)
+        if errors:
+            raise ConfigError(errors)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     if args.no_traces:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -188,10 +189,14 @@ def _normalize_ms(obj, path, errors):
 def _read(tp, val, path, errors, base_dir):
     """val loaded as type tp. A problem is appended to errors and gives _BAD.
 
-    An int is accepted for a float and stored as a float; a bool is never an
-    int; a tuple of floats is written as a JSON list.
+    An int is accepted for a float and stored as a float; a float must be
+    finite (JSON as Python reads it admits NaN and Infinity); a bool is never
+    an int; a tuple of floats is written as a JSON list.
     """
     if type(val) is tp:
+        if tp is float and not math.isfinite(val):
+            errors.append(f"{path}: expected a finite number, got {json.dumps(val)}")
+            return _BAD
         return val
     if tp is float and type(val) is int and abs(val) <= sys.float_info.max:
         return float(val)
@@ -259,12 +264,18 @@ def _read_samples(name, path, errors, base_dir):
     if base_dir is not None and not p.is_absolute():
         p = Path(base_dir) / p
     try:
-        return [float(token) for token in p.read_text().split()]
+        samples = [float(token) for token in p.read_text().split()]
     except OSError as exc:
         errors.append(f"{path}: cannot read {p}: {exc}")
+        return _BAD
     except ValueError as exc:
         errors.append(f"{path}: {p}: {exc}")
-    return _BAD
+        return _BAD
+    bad = [s for s in samples if not math.isfinite(s)]
+    if bad:
+        errors.append(f"{path}: {p}: non-finite sample {bad[0]!r}")
+        return _BAD
+    return samples
 
 
 def _from_dict(raw: dict, base_dir=None) -> ScenarioConfig:
@@ -282,6 +293,9 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     """All invariant violations, each tagged with its field path."""
     e: list[str] = []
     w, p, d = cfg.workload, cfg.peers, cfg.dissemination
+
+    if cfg.seed < 0:
+        e.append("seed: must be >= 0")
 
     if w.arrival_process not in ARRIVAL_PROCESSES:
         e.append(f"workload.arrival_process: {w.arrival_process!r} not in {ARRIVAL_PROCESSES}")

@@ -11,6 +11,9 @@ misses its quorum is retried with fresh targets after the ack timeout.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
+from itertools import cycle
+from math import gcd
 
 from .kernel import EventKind, SimulationIntegrityError
 from .workload import Transaction, TxStatus
@@ -20,8 +23,8 @@ __all__ = ["PeerState", "eligible_endorsers", "quorum_satisfied", "EndorsementSy
 
 class PeerState:
     __slots__ = (
-        "peer_id", "height", "busy", "buffer", "pvt_store", "commit_scale",
-        "paused", "boost_factor", "_target_rr",
+        "peer_id", "height", "busy", "buffer", "commit_scale",
+        "paused", "boost_factor",
     )
 
     def __init__(self, peer_id: int, commit_scale: float = 1.0):
@@ -29,11 +32,9 @@ class PeerState:
         self.height = 0
         self.busy = 0
         self.buffer: deque[Transaction] = deque()
-        self.pvt_store: set[int] = set()
         self.commit_scale = commit_scale
         self.paused = False
         self.boost_factor = 1.0
-        self._target_rr = 0
 
 
 def eligible_endorsers(policy, heights) -> list[int]:
@@ -49,7 +50,8 @@ def eligible_endorsers(policy, heights) -> list[int]:
     if kind == "all":
         return list(range(len(heights)))
     if kind == "ranked_list":
-        return sorted(range(len(heights)), key=lambda i: (-heights[i], i))
+        # reverse sorting is stable: equal heights keep ascending peer id
+        return sorted(range(len(heights)), key=heights.__getitem__, reverse=True)
     top = max(heights)
     floor = top if kind == "max_ht" else top - policy.tau
     return [i for i, h in enumerate(heights) if h >= floor]
@@ -70,13 +72,35 @@ def quorum_satisfied(strategy, delays, designated: int = 0):
     if strategy.relaxed:
         wait = min(delays)
         return wait <= timeout, min(wait, timeout)
-    wait = max(min(d, timeout) for d in delays)
-    acked = sum(1 for d in delays if d <= timeout)
-    if strategy.required_peer_count == 1 and len(delays) > 1:
+    wait = min(max(delays), timeout)
+    required = strategy.required_peer_count
+    if required == 1:
         ok = delays[designated] <= timeout
     else:
-        ok = acked >= strategy.required_peer_count
+        ok = sum(1 for d in delays if d <= timeout) >= required
     return ok, wait
+
+
+def _rotation(peer_id: int, n_peers: int, m: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """One period of a peer's dissemination rounds, in round order.
+
+    Round i targets the m other peers from position i*m (mod the number of
+    other peers) of the others in id order, so the rounds repeat every
+    len(others) / gcd(m, len(others)). Each round is (targets, designated,
+    holders): designated indexes the lowest target id (the peer the (m, 1)
+    rule waits for), holders is the bitmask of the endorser and the targets.
+    """
+    others = [q for q in range(n_peers) if q != peer_id]
+    n = len(others)
+    rounds = []
+    for i in range(n // gcd(m, n) if n else 0):
+        start = i * m % n
+        targets = tuple(others[(start + k) % n] for k in range(m))
+        holders = 1 << peer_id
+        for t in targets:
+            holders |= 1 << t
+        rounds.append((targets, targets.index(min(targets)), holders))
+    return rounds
 
 
 class EndorsementSystem:
@@ -98,6 +122,9 @@ class EndorsementSystem:
         self._exec_streams = [sim.streams.stream(f"peer{p.peer_id}.endorse") for p in peers]
         self._ack_streams = [sim.streams.stream(f"peer{p.peer_id}.ack") for p in peers]
         self._ovh_streams = [sim.streams.stream(f"peer{p.peer_id}.overhead") for p in peers]
+        # each peer's next dissemination round, cycling through one period
+        self._rotation = [cycle(_rotation(p.peer_id, len(peers), strategy.max_peer_count))
+                          for p in peers]
         self.inflight = 0
         self.eligibility_log = None  # tests: list of (tx_id, endorser, eligible tuple)
 
@@ -105,9 +132,6 @@ class EndorsementSystem:
 
     def heights(self) -> list[int]:
         return [p.height for p in self.peers]
-
-    def _has_capacity(self, peer: PeerState) -> bool:
-        return peer.busy < self.concurrency or len(peer.buffer) < self.buffer_cap
 
     def route_transaction(self, tx: Transaction) -> PeerState | None:
         """Pick the endorsing peer, or None when the transaction is dropped.
@@ -117,23 +141,22 @@ class EndorsementSystem:
         set. A transaction is dropped iff every candidate peer is at
         capacity (busy == C and buffer == B).
         """
-        eligible = eligible_endorsers(self.policy, self.heights())
-        if self.policy.kind == "ranked_list":
-            chosen = None
-            for i in eligible:
-                if self._has_capacity(self.peers[i]):
-                    chosen = self.peers[i]
-                    break
-        else:
-            chosen = None
-            n = len(eligible)
-            start = self._rr % n
+        peers = self.peers
+        eligible = eligible_endorsers(self.policy, [p.height for p in peers])
+        order = eligible
+        if self.policy.kind != "ranked_list":
+            start = self._rr % len(eligible)
             self._rr += 1
-            for k in range(n):
-                peer = self.peers[eligible[(start + k) % n]]
-                if self._has_capacity(peer):
-                    chosen = peer
-                    break
+            if start:
+                order = eligible[start:] + eligible[:start]
+        concurrency = self.concurrency
+        buffer_cap = self.buffer_cap
+        chosen = None
+        for i in order:
+            peer = peers[i]
+            if peer.busy < concurrency or len(peer.buffer) < buffer_cap:
+                chosen = peer
+                break
         if self.eligibility_log is not None:
             self.eligibility_log.append(
                 (tx.tx_id, chosen.peer_id if chosen else None, tuple(eligible)))
@@ -166,15 +189,15 @@ class EndorsementSystem:
     # -- endorsement execution -------------------------------------------
 
     def _begin(self, peer: PeerState, tx: Transaction) -> None:
-        now = self.sim.kernel.now
+        kernel = self.sim.kernel
+        now = kernel.now
         pid = peer.peer_id
         tx.status = TxStatus.EXECUTING
         tx.endorser = pid
         tx.endorse_start = now
-        peer.pvt_store.add(tx.tx_id)
         execute = self.execute_dist.sample(self._exec_streams[pid])
         overhead = self.overhead_dist.sample(self._ovh_streams[pid])
-        ok, quorum_wait, targets, retries = self.disseminate(peer)
+        ok, quorum_wait, targets, holders, retries = self.disseminate(peer)
         tx.quorum_wait = quorum_wait
         tx.retries_used = retries
         total = execute + quorum_wait + (overhead if ok else 0.0)
@@ -182,42 +205,37 @@ class EndorsementSystem:
             # every target of the winning round receives the data; acks that
             # exceeded the timeout were missing for the quorum but the ack
             # (and the payload) still lands before the block is cut
-            for t in targets:
-                self.peers[t].pvt_store.add(tx.tx_id)
+            tx.holders = holders
             if self.sim.collect_traces:
-                tx.disseminated_to = tuple(targets)
-        self.sim.kernel.schedule(now + total, EventKind.ENDORSE_DONE,
-                                 lambda: self._complete(peer, tx, ok))
+                tx.disseminated_to = targets
+        kernel.schedule(now + total, EventKind.ENDORSE_DONE,
+                        partial(self._complete, peer, tx, ok))
 
     def disseminate(self, peer: PeerState):
         """Run dissemination rounds for one transaction.
 
         All per-target ack delays are sampled up front (they complete before
-        the endorsement does, so only the pvt_store membership matters
+        the endorsement does, so only who holds the data matters
         downstream). Each failed round costs the full ack timeout and is
         retried with the next targets in rotation, up to max_retries.
 
-        Returns (ok, total_quorum_wait, winning_round_targets, retries_used).
+        Returns (ok, total_quorum_wait, winning_round_targets,
+        winning_round_holders, retries_used).
         """
         strategy = self.strategy
-        others = [q.peer_id for q in self.peers if q.peer_id != peer.peer_id]
         m = strategy.max_peer_count
+        rotation = self._rotation[peer.peer_id]
+        sample = self.ack_dist.sample
         ack_stream = self._ack_streams[peer.peer_id]
         total_wait = 0.0
         for attempt in range(strategy.max_retries + 1):
-            if m >= len(others):
-                targets = others
-            else:
-                start = peer._target_rr % len(others)
-                peer._target_rr += m
-                targets = [others[(start + k) % len(others)] for k in range(m)]
-            delays = [self.ack_dist.sample(ack_stream) for _ in range(m)]
-            designated = min(range(m), key=lambda k: targets[k])
+            targets, designated, holders = next(rotation)
+            delays = [sample(ack_stream) for _ in range(m)]
             ok, wait = quorum_satisfied(strategy, delays, designated)
             if ok:
-                return True, total_wait + wait, targets, attempt
+                return True, total_wait + wait, targets, holders, attempt
             total_wait += strategy.ack_timeout
-        return False, total_wait, [], strategy.max_retries
+        return False, total_wait, (), 0, strategy.max_retries
 
     def _complete(self, peer: PeerState, tx: Transaction, ok: bool) -> None:
         now = self.sim.kernel.now
@@ -227,7 +245,6 @@ class EndorsementSystem:
             tx.status = TxStatus.ENDORSED
             self.sim.on_endorsed(tx)
         else:
-            peer.pvt_store.discard(tx.tx_id)
             self._drop(tx, "quorum")
         if peer.buffer:
             nxt = peer.buffer.popleft()

@@ -8,10 +8,10 @@ runs inside this loop; one kernel per run, no shared mutable state.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Callable
 
 import numpy as np
@@ -54,25 +54,24 @@ class EventKind(Enum):
     GENERIC = "generic"
 
 
-@dataclass
 class Event:
-    fire_at: float
-    seq: int
-    kind: EventKind
-    callback: Callable[[], None]
-    cancelled: bool = False
+    """One scheduled event; schedule() returns it as the handle to cancel it.
 
+    The heap holds (fire_at, seq, event). Cancelling drops the callback, so
+    the loop skips the entry and pending() does not count it.
+    """
 
-class EventHandle:
-    """Returned by schedule(); allows cancelling a pending event."""
+    __slots__ = ("kind", "callback")
 
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event):
-        self._event = event
+    def __init__(self, kind: EventKind, callback: Callable[[], None] | None):
+        self.kind = kind
+        self.callback = callback
 
     def cancel(self) -> None:
-        self._event.cancelled = True
+        self.callback = None
+
+
+EventHandle = Event
 
 
 class SimKernel:
@@ -84,16 +83,17 @@ class SimKernel:
         self._seq = 0
         self.dispatched = 0
 
-    def schedule(self, fire_at: float, kind: EventKind, callback: Callable[[], None]) -> EventHandle:
+    def schedule(self, fire_at: float, kind: EventKind, callback: Callable[[], None]) -> Event:
         if fire_at < self.now:
             raise SchedulingError(f"event scheduled at {fire_at} before now={self.now}")
-        event = Event(fire_at, self._seq, kind, callback)
-        self._seq += 1
-        heapq.heappush(self._heap, (fire_at, event.seq, event))
-        return EventHandle(event)
+        event = Event(kind, callback)
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (fire_at, seq, event))
+        return event
 
     def pending(self) -> int:
-        return sum(1 for _, _, e in self._heap if not e.cancelled)
+        return sum(1 for _, _, e in self._heap if e.callback is not None)
 
     def run_until(self, t_end: float = math.inf) -> float:
         """Dispatch every event with fire_at <= t_end, in (fire_at, seq) order.
@@ -106,13 +106,14 @@ class SimKernel:
         heap = self._heap
         dispatched_any = False
         while heap and heap[0][0] <= t_end:
-            fire_at, _, event = heapq.heappop(heap)
-            if event.cancelled:
+            fire_at, _, event = heappop(heap)
+            callback = event.callback
+            if callback is None:
                 continue
             self.now = fire_at
             dispatched_any = True
             self.dispatched += 1
-            event.callback()
+            callback()
         if heap or not dispatched_any:
             if math.isfinite(t_end):
                 self.now = max(self.now, t_end)
@@ -135,17 +136,21 @@ class RngStream:
     PCG64 generator keyed by a hash of its label.
     """
 
-    __slots__ = ("label", "_gen", "_buffers")
+    __slots__ = ("label", "_master_seed", "_gen", "_buffers")
 
     def __init__(self, master_seed: int, label: str):
         self.label = label
-        seq = np.random.SeedSequence(master_seed, spawn_key=_label_spawn_key(label))
-        self._gen = np.random.Generator(np.random.PCG64(seq))
+        self._master_seed = master_seed
+        self._gen = None  # built at the first draw: most of a run's set-up cost
         self._buffers: dict = {}
 
     # Chunked draws: ~50x cheaper than per-call Generator dispatch in the
     # hot event loop. Order of delivered values is unaffected.
     def _refill(self, key, draw) -> list[float]:
+        if self._gen is None:
+            seq = np.random.SeedSequence(self._master_seed,
+                                         spawn_key=_label_spawn_key(self.label))
+            self._gen = np.random.Generator(np.random.PCG64(seq))
         buf = draw(self._gen, _SAMPLE_CHUNK).tolist()
         buf.reverse()  # pop() from the end preserves draw order
         self._buffers[key] = buf

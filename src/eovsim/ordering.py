@@ -20,13 +20,13 @@ class Block:
                  "creation_time", "local_data", "first_commit_at")
 
     def __init__(self, block_num: int, txs: list[Transaction],
-                 first_enqueued_at: float, cut_at: float, n_peers: int):
+                 first_enqueued_at: float, cut_at: float):
         self.block_num = block_num
         self.txs = txs
         self.first_enqueued_at = first_enqueued_at
         self.cut_at = cut_at
         self.creation_time = cut_at - first_enqueued_at
-        self.local_data = [False] * n_peers  # peer holds every tx's private data
+        self.local_data: list[bool] = []  # per peer: holds every tx's private data
         self.first_commit_at = -1.0
 
     @property
@@ -92,7 +92,7 @@ class Orderer:
             take = len(self.queue)
         txs = self.queue[:take]
         leftover = self.queue[take:]
-        block = Block(len(self.blocks) + 1, txs, self.first_enqueued_at, now, self.n_peers)
+        block = Block(len(self.blocks) + 1, txs, self.first_enqueued_at, now)
         self.blocks.append(block)
         for pos, tx in enumerate(txs):
             tx.ordered_at = now
@@ -105,16 +105,13 @@ class Orderer:
         return block
 
     def _resolve_local_data(self, block: Block) -> None:
-        """Freeze per-peer data availability at cut time, then purge stores.
+        """Freeze per-peer data availability at cut time.
 
-        Every ack lands before its transaction finishes endorsement, so
-        membership is final once the transaction is ordered; keeping entries
-        longer would only grow the stores without bound.
+        Every ack lands before its transaction finishes endorsement, so a
+        transaction's holders are final once it is ordered: a peer has the
+        block's data locally iff its bit is set in every holders mask.
         """
-        for peer in self.sim.peers:
-            store = peer.pvt_store
-            block.local_data[peer.peer_id] = all(tx.tx_id in store for tx in block.txs)
-        for peer in self.sim.peers:
-            store = peer.pvt_store
-            for tx in block.txs:
-                store.discard(tx.tx_id)
+        held = -1
+        for tx in block.txs:
+            held &= tx.holders
+        block.local_data = [bool(held >> p & 1) for p in range(self.n_peers)]

@@ -64,6 +64,7 @@ class Simulation:
         self.engines = [CommitEngine(self, p, config.commit_model, config.commit_mode)
                         for p in self.peers]
         self.controller = WaitingController(self, config.waiting)
+        self._pool_mode = config.workload.arrival_process == "pool"
 
         self.counters = RunCounters()
         self._endorse_total: list[float] = []
@@ -104,7 +105,8 @@ class Simulation:
         self.orderer.enqueue_endorsed(tx)
 
     def on_slot_free(self, peer) -> None:
-        self._resolve_pool_mode()
+        if self._pool_mode:
+            self._resolve_pool_mode()
 
     def on_block_cut(self, block) -> None:
         pool = self.source.pool
@@ -146,9 +148,7 @@ class Simulation:
     # -- pool-mode pulls ------------------------------------------------------
 
     def _resolve_pool_mode(self) -> None:
-        if self.config.workload.arrival_process != "pool":
-            return
-        if self.source.pool_exhausted():
+        if not self._pool_mode or self.source.pool_exhausted():
             return
         cap = self.config.peers.endorse_concurrency
         eligible = eligible_endorsers(self.config.leader, self.endorsement.heights())

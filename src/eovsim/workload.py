@@ -17,6 +17,8 @@ parents sequence, so a probability's parents match a standalone run at it.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .kernel import EventKind, RngStream
 
 __all__ = ["TxStatus", "Transaction", "InFlightPool", "draw_parent", "ArrivalSource"]
@@ -36,7 +38,7 @@ class Transaction:
     __slots__ = (
         "tx_id", "client_id", "created_at",
         "endorser", "endorse_start", "endorse_end", "quorum_wait", "retries_used",
-        "disseminated_to", "ordered_at", "block_num", "block_pos",
+        "holders", "disseminated_to", "ordered_at", "block_num", "block_pos",
         "committed_at", "status", "drop_reason",
     )
 
@@ -49,6 +51,7 @@ class Transaction:
         self.endorse_end = -1.0
         self.quorum_wait = 0.0
         self.retries_used = 0
+        self.holders = 0  # bitmask of the peers holding the private data
         self.disseminated_to: tuple[int, ...] | None = None
         self.ordered_at = -1.0
         self.block_num = -1
@@ -122,6 +125,9 @@ class ArrivalSource:
         self._active_clients = 0
         self.pending_pool: list[Transaction] = []  # pool mode backlog (FIFO)
         self._pool_cursor = 0
+        # deterministic arrivals: exactly rate*duration per client, at k/rate
+        # for k = 1..n
+        self._per_client = int(round(workload_cfg.rate_per_client * workload_cfg.duration))
         # float keys: the stream label is repr(p), and 1 must draw as 1.0 does
         probs = dict.fromkeys(float(p) for p in (workload_cfg.dependency_prob, *extra_probs))
         self.parents: dict[float, list[int | None]] = {p: [] for p in probs}
@@ -137,6 +143,9 @@ class ArrivalSource:
             self._active_clients = 0
             return
         self._active_clients = cfg.num_clients
+        streams = self.sim.streams
+        self._gap_streams = [streams.stream(f"workload.arrivals.c{client}")
+                             for client in range(cfg.num_clients)]
         for client in range(cfg.num_clients):
             self._schedule_next(client, emitted=0)
 
@@ -145,20 +154,17 @@ class ArrivalSource:
     def _schedule_next(self, client: int, emitted: int) -> None:
         cfg = self.cfg
         if cfg.arrival_process == "deterministic":
-            # exactly rate*duration per client, at k/rate for k = 1..n
-            if emitted >= int(round(cfg.rate_per_client * cfg.duration)):
+            if emitted >= self._per_client:
                 self._active_clients -= 1
                 return
             at = (emitted + 1) / cfg.rate_per_client
         else:
-            gap_stream = self.sim.streams.stream(f"workload.arrivals.c{client}")
             base = self.sim.kernel.now if emitted else 0.0
-            at = base + gap_stream.exponential(1.0 / cfg.rate_per_client)
+            at = base + self._gap_streams[client].exponential(1.0 / cfg.rate_per_client)
             if at > cfg.duration:
                 self._active_clients -= 1
                 return
-        self.sim.kernel.schedule(at, EventKind.ARRIVAL,
-                                 lambda: self._arrive(client, emitted))
+        self.sim.kernel.schedule(at, EventKind.ARRIVAL, partial(self._arrive, client, emitted))
 
     def _arrive(self, client: int, emitted: int) -> None:
         tx = self._create(client, self.sim.kernel.now)

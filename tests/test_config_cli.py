@@ -214,6 +214,63 @@ def test_cli_wrong_typed_field_exit_2(tmp_path, capsys, path, value):
     assert not (tmp_path / "out").exists()
 
 
+_NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+def _non_finite_cases():
+    """(path, JSON value) putting NaN or +-Infinity into every float field,
+    every float-list item and every parameter of every distribution family."""
+    dist_params = [(family, param) for family, params in FAMILY_PARAMS.items()
+                   for param in (*params, "scale", "per_tx")]
+    for path, tp in _schema_leaves(ScenarioConfig):
+        if tp is float:
+            for bad in _NON_FINITE:
+                yield path, bad, path
+        elif tp == tuple[float, ...]:
+            for bad in _NON_FINITE:
+                yield path, [0.5, bad], path
+        elif tp is DistributionSpec:
+            for i, (family, param) in enumerate(dist_params):
+                bad = _NON_FINITE[i % len(_NON_FINITE)]
+                spec = {"family": family, **{p: [0.1] if p == "samples" else 0.1
+                                             for p in FAMILY_PARAMS[family]}}
+                spec[param] = [0.1, bad] if param == "samples" else bad
+                yield path, spec, f"{path}.{param}"
+
+
+@pytest.mark.parametrize("path, value, error_path", [
+    pytest.param(path, value, error_path,
+                 id=f"{error_path}={json.dumps(value)}" if error_path == path
+                 else f"{error_path}:{value['family']}")
+    for path, value, error_path in _non_finite_cases()])
+def test_cli_non_finite_number_exit_2(tmp_path, capsys, path, value, error_path):
+    raw = json.loads(emit_config(tiny_config(out_dir=str(tmp_path / "out"))))
+    *parents, leaf = path.split(".")
+    node = raw
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {error_path}: expected a finite number, got ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_empirical_samples_file_non_finite_exit_2(tmp_path, capsys, token):
+    (tmp_path / "trace.txt").write_text(f"0.1\n{token}\n0.3\n")
+    raw = json.loads(emit_config(tiny_config(out_dir=str(tmp_path / "out"))))
+    raw["endorse_model"]["ack"] = {"family": "empirical", "path": "trace.txt"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: endorse_model.ack.path:" in err and "non-finite sample" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_integer_accepted_for_float_and_stored_as_float():
     raw = json.loads(emit_config(tiny_config()))
     raw["workload"]["dependency_prob"] = 1
@@ -378,6 +435,29 @@ def test_cli_sweep_integer_and_float_grid_value_same_config_hash(tmp_path):
 def test_cli_sweep_empty_seed_selection_exit_2(tmp_path, capsys, seeds):
     path = _write_cfg(tmp_path, tiny_config())
     assert main(["sweep", str(path), "--seeds", seeds, "--out", str(tmp_path / "sw")]) == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
+def test_cli_negative_seed_in_config_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": -1, "out_dir": str(tmp_path / "out")}))
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "config error: seed: must be >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_negative_seed_flag_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "preset:waiting-2peer", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: seed: must be >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["-2..-1", "-1..2", "-1", "1,-3"])
+def test_cli_sweep_negative_seeds_exit_2(tmp_path, capsys, seeds):
+    path = _write_cfg(tmp_path, tiny_config())
+    assert main(["sweep", str(path), f"--seeds={seeds}", "--out", str(tmp_path / "sw")]) == 2
     assert "--seeds" in capsys.readouterr().err
     assert not (tmp_path / "sw").exists()
 

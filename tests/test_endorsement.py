@@ -86,6 +86,35 @@ def test_single_target_single_ack():
     assert ok and wait == 0.05
 
 
+# -- dissemination rotation ----------------------------------------------------
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_rotation_table_matches_per_round_formula(n):
+    # the table each peer cycles through must give, round after round, the
+    # targets and designated index of the per-round formula: start at
+    # rr % len(others), advance rr by m, designate the lowest target id
+    for m in range(1, n):
+        cfg = tiny_config(
+            peers=replace(tiny_config().peers, count=n),
+            dissemination=DisseminationStrategy(max_peer_count=m, required_peer_count=1))
+        es = Simulation(cfg).endorsement
+        for pid in range(n):
+            others = [q for q in range(n) if q != pid]
+            period = len(others) // math.gcd(m, len(others))
+            rr = 0
+            for _ in range(3 * period + 1):
+                if m >= len(others):
+                    expected = others
+                else:
+                    start = rr % len(others)
+                    rr += m
+                    expected = [others[(start + k) % len(others)] for k in range(m)]
+                targets, designated, holders = next(es._rotation[pid])
+                assert list(targets) == expected
+                assert designated == min(range(m), key=lambda k: expected[k])
+                assert holders == sum(1 << p for p in {pid, *expected})
+
+
 # -- routing and admission -------------------------------------------------------
 
 def _sim(**over):

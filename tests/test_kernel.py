@@ -168,3 +168,33 @@ def test_stream_independence_extra_draws_do_not_perturb():
     seq1 = [reg1.stream("Y").uniform() for _ in range(50)]
     seq2 = [reg2.stream("Y").uniform() for _ in range(50)]
     assert seq1 == seq2
+
+
+def test_cancelled_event_not_pending_and_not_counted():
+    k = SimKernel()
+    seen = []
+    keep = k.schedule(1.0, EventKind.GENERIC, lambda: seen.append("keep"))
+    drop = k.schedule(2.0, EventKind.GENERIC, lambda: seen.append("drop"))
+    assert k.pending() == 2
+    drop.cancel()
+    assert k.pending() == 1
+    k.run_until(5.0)
+    assert seen == ["keep"]
+    assert k.dispatched == 1
+    assert k.pending() == 0
+    keep.cancel()  # already fired: a no-op
+    k.run_until(6.0)
+    assert seen == ["keep"] and k.dispatched == 1
+
+
+def test_cancel_after_fire_leaves_later_events_alone():
+    k = SimKernel()
+    seen = []
+    first = k.schedule(1.0, EventKind.GENERIC, lambda: seen.append(1))
+    k.schedule(3.0, EventKind.GENERIC, lambda: seen.append(3))
+    k.run_until(2.0)
+    first.cancel()
+    assert k.pending() == 1
+    k.run_until(4.0)
+    assert seen == [1, 3]
+    assert k.dispatched == 2

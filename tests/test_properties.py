@@ -241,3 +241,15 @@ def test_eligibility_soundness(cfg):
     for tx_id, endorser, eligible in res.eligibility_log:
         if endorser is not None:
             assert endorser in eligible
+
+
+@CASES
+@given(scenario())
+def test_block_local_data_matches_dissemination_trace(cfg):
+    # a peer holds a block's private data iff it endorsed or received every
+    # transaction of the block
+    res = run_scenario(cfg, collect_traces=True)
+    for block, _ in res.block_trace:
+        for p in range(cfg.peers.count):
+            assert block.local_data[p] == all(
+                p == tx.endorser or p in tx.disseminated_to for tx in block.txs)
