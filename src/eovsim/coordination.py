@@ -52,7 +52,6 @@ class WaitingController:
     def __init__(self, sim, policy):
         self.sim = sim
         self.policy = policy
-        self.active = False
         self.paused: set[int] = set()
         self.boosted_peer: int | None = None
         self.events: list[WaitEvent] = []
@@ -80,7 +79,7 @@ class WaitingController:
         heights = [p.height for p in self.sim.peers]
         action, leaders, lagger, gap = evaluate_wait(heights, self.policy)
         now = self.sim.kernel.now
-        if self.active:
+        if self.paused:
             if action == "none":
                 self._release(now, lagger, gap)
             else:
@@ -95,7 +94,6 @@ class WaitingController:
                 self._pause_peer(i, now, lagger, gap)
             self.apply_boost(lagger)
             self.events.append(WaitEvent(now, "boost_start", leaders[0], lagger, gap))
-            self.active = True
 
     def _pause_peer(self, i: int, now: float, lagger: int, gap: int) -> None:
         self.sim.peers[i].paused = True
@@ -110,6 +108,5 @@ class WaitingController:
         self.events.append(WaitEvent(now, "boost_end", lead, lagger, gap))
         self.paused.clear()
         self.release_boost()
-        self.active = False
         for engine in self.sim.engines:
             engine.kick()

@@ -126,23 +126,20 @@ class EndorsementSystem:
         self._rotation = [cycle(_rotation(p.peer_id, len(peers), strategy.max_peer_count))
                           for p in peers]
         self.inflight = 0
-        self.eligibility_log = None  # tests: list of (tx_id, endorser, eligible tuple)
 
     # -- routing ---------------------------------------------------------
-
-    def heights(self) -> list[int]:
-        return [p.height for p in self.peers]
 
     def route_transaction(self, tx: Transaction) -> PeerState | None:
         """Pick the endorsing peer, or None when the transaction is dropped.
 
-        ranked_list walks the full ranking and takes the first peer with free
-        capacity; the height-window policies round-robin over the eligible
-        set. A transaction is dropped iff every candidate peer is at
+        The candidates are the simulation's eligible set for the current
+        heights. ranked_list walks the full ranking and takes the first peer
+        with free capacity; the height-window policies round-robin over the
+        eligible set. A transaction is dropped iff every candidate peer is at
         capacity (busy == C and buffer == B).
         """
         peers = self.peers
-        eligible = eligible_endorsers(self.policy, [p.height for p in peers])
+        eligible = self.sim.eligible
         order = eligible
         if self.policy.kind != "ranked_list":
             start = self._rr % len(eligible)
@@ -151,16 +148,11 @@ class EndorsementSystem:
                 order = eligible[start:] + eligible[:start]
         concurrency = self.concurrency
         buffer_cap = self.buffer_cap
-        chosen = None
         for i in order:
             peer = peers[i]
             if peer.busy < concurrency or len(peer.buffer) < buffer_cap:
-                chosen = peer
-                break
-        if self.eligibility_log is not None:
-            self.eligibility_log.append(
-                (tx.tx_id, chosen.peer_id if chosen else None, tuple(eligible)))
-        return chosen
+                return peer
+        return None
 
     def submit(self, tx: Transaction) -> None:
         peer = self.route_transaction(tx)

@@ -22,7 +22,6 @@ __all__ = [
     "SimulationIntegrityError",
     "EventKind",
     "Event",
-    "EventHandle",
     "SimKernel",
     "DistributionSpec",
     "FAMILY_PARAMS",
@@ -69,9 +68,6 @@ class Event:
 
     def cancel(self) -> None:
         self.callback = None
-
-
-EventHandle = Event
 
 
 class SimKernel:
@@ -261,19 +257,6 @@ class DistributionSpec:
     @classmethod
     def empirical(cls, samples, scale: float = 1.0, per_tx: float = 0.0) -> "DistributionSpec":
         return cls("empirical", samples=tuple(float(s) for s in samples), scale=scale, per_tx=per_tx)
-
-    @property
-    def base_mean(self) -> float:
-        """Mean of a sample before the per_tx affine term (scale included)."""
-        if self.family == "constant":
-            m = self.value
-        elif self.family == "exponential":
-            m = self.mean
-        elif self.family == "normal":
-            m = self.mean  # resampling bias is negligible for std << mean
-        else:
-            m = sum(self.samples) / len(self.samples)
-        return m * self.scale
 
     def sample(self, stream: RngStream, block_size: int = 0) -> float:
         if self.family == "constant":

@@ -36,7 +36,6 @@ class RunResult:
     tx_parents: list | None = None   # parent id or None per tx_trace entry
     block_trace: list | None = None
     error: str | None = None
-    eligibility_log: list | None = None
     version: str = _version
 
 
@@ -44,7 +43,7 @@ class Simulation:
     """Wires workload, endorsement, ordering, commit, and coordination."""
 
     def __init__(self, config: ScenarioConfig, collect_traces: bool | None = None,
-                 extra_dep_probs=(), record_eligibility: bool = False):
+                 extra_dep_probs=()):
         self.config = config
         self.kernel = SimKernel()
         self.streams = StreamRegistry(config.seed)
@@ -58,8 +57,6 @@ class Simulation:
             config.endorse_model.execute, config.endorse_model.overhead,
             config.endorse_model.ack,
             config.peers.endorse_concurrency, config.peers.gateway_buffer)
-        if record_eligibility:
-            self.endorsement.eligibility_log = []
         self.orderer = Orderer(self, config.cut_rule, n)
         self.engines = [CommitEngine(self, p, config.commit_model, config.commit_mode)
                         for p in self.peers]
@@ -67,21 +64,13 @@ class Simulation:
         self._pool_mode = config.workload.arrival_process == "pool"
 
         self.counters = RunCounters()
-        self._endorse_total: list[float] = []
-        self._quorum_wait: list[float] = []
-        self._block_creation: list[float] = []
-        self._p1: list[float] = []
-        self._p2: list[float] = []
-        self._commit_total: list[float] = []
-        self._e2e: list[float] = []
-        self._peer_commit_sum = [0.0] * n
-        self._peer_commit_n = [0] * n
-        self.last_commit_at = 0.0
-        self.last_endorse_at = 0.0
+        self._commits: list = []  # PhaseTiming of every commit event, in event order
+        # peers that may endorse at the current heights; heights change only
+        # on a commit, so on_commit refreshes it
+        self.eligible = eligible_endorsers(config.leader, [p.height for p in self.peers])
         # time-weighted eligibility: fraction of the run with >= 2 eligible
         self._elig_t = 0.0
         self._elig_acc = 0.0
-        self._elig_multi = self._count_eligible() >= 2
 
     # -- hooks from the subsystems ------------------------------------------
 
@@ -98,10 +87,6 @@ class Simulation:
 
     def on_endorsed(self, tx) -> None:
         self.counters.endorsed += 1
-        now = self.kernel.now
-        self.last_endorse_at = now
-        self._endorse_total.append(now - tx.endorse_start)
-        self._quorum_wait.append(tx.quorum_wait)
         self.orderer.enqueue_endorsed(tx)
 
     def on_slot_free(self, peer) -> None:
@@ -112,7 +97,6 @@ class Simulation:
         pool = self.source.pool
         for tx in block.txs:
             pool.discard(tx.tx_id)
-        self._block_creation.append(block.creation_time)
         if self.config.ordering_overhead > 0:
             self.kernel.schedule(self.kernel.now + self.config.ordering_overhead,
                                  EventKind.GENERIC,
@@ -126,23 +110,14 @@ class Simulation:
 
     def on_commit(self, peer, block, timing) -> None:
         now = self.kernel.now
-        p1 = timing.p1_duration
-        p2 = timing.p2_duration
-        self._p1.append(p1)
-        self._p2.append(p2)
-        self._commit_total.append(p1 + p2)
-        pid = peer.peer_id
-        self._peer_commit_sum[pid] += p1 + p2
-        self._peer_commit_n[pid] += 1
+        self._commits.append(timing)
         if block.first_commit_at < 0:
             block.first_commit_at = now
-            self.last_commit_at = now
-            e2e = self._e2e
             for tx in block.txs:
                 tx.committed_at = now
-                e2e.append(now - tx.created_at)
         self.controller.on_commit_event()
-        self._update_eligibility()
+        self._accrue_eligibility(now)
+        self.eligible = eligible_endorsers(self.config.leader, [p.height for p in self.peers])
         self._resolve_pool_mode()
 
     # -- pool-mode pulls ------------------------------------------------------
@@ -151,8 +126,7 @@ class Simulation:
         if not self._pool_mode or self.source.pool_exhausted():
             return
         cap = self.config.peers.endorse_concurrency
-        eligible = eligible_endorsers(self.config.leader, self.endorsement.heights())
-        for i in eligible:
+        for i in self.eligible:
             peer = self.peers[i]
             while peer.busy < cap:
                 tx = self.source.next_pooled()
@@ -162,16 +136,11 @@ class Simulation:
 
     # -- eligibility accounting -----------------------------------------------
 
-    def _count_eligible(self) -> int:
-        return len(eligible_endorsers(self.config.leader,
-                                      [p.height for p in self.peers]))
-
-    def _update_eligibility(self) -> None:
-        now = self.kernel.now
-        if self._elig_multi:
+    def _accrue_eligibility(self, now: float) -> None:
+        """Add the time since the last height change if >= 2 peers were eligible."""
+        if len(self.eligible) >= 2:
             self._elig_acc += now - self._elig_t
         self._elig_t = now
-        self._elig_multi = self._count_eligible() >= 2
 
     def drained(self) -> bool:
         return (self.source.exhausted() and self.endorsement.inflight == 0
@@ -188,7 +157,7 @@ class Simulation:
 
     def _finalize(self) -> RunResult:
         makespan = self.kernel.now
-        self._update_eligibility()
+        self._accrue_eligibility(makespan)
         truncated = self.kernel.pending() > 0 or not self.drained()
 
         counters = self.counters
@@ -229,32 +198,39 @@ class Simulation:
         counters.in_flight_at_horizon = (counters.endorsed - n_valid - n_invalid)
         counters.check()
 
+        # the orderer takes endorsed transactions FIFO, so the blocks followed
+        # by its queue hold them in endorsement order; first commits happen in
+        # block order
+        endorsed = [tx for b in blocks for tx in b.txs]
+        endorsed += self.orderer.queue
         summaries = {}
-        for label, samples in (("endorse_total", self._endorse_total),
-                               ("quorum_wait", self._quorum_wait),
-                               ("block_creation", self._block_creation),
-                               ("phase1", self._p1), ("phase2", self._p2),
-                               ("commit_total", self._commit_total),
-                               ("e2e", self._e2e)):
+        for label, samples in self._stage_samples(endorsed, committed_prefix):
             summ = LatencySummary.from_samples(label, samples)
             if summ is not None:
                 summaries[label] = summ
 
         committed = n_valid + n_invalid
+        last_commit_at = committed_prefix[-1].first_commit_at if committed_prefix else 0.0
+        last_endorse_at = endorsed[-1].endorse_end if endorsed else 0.0
         p1m = summaries["phase1"].mean if "phase1" in summaries else 0.0
         p2m = summaries["phase2"].mean if "phase2" in summaries else 0.0
         first_cut = blocks[0].cut_at if blocks else 0.0
         throughput = ThroughputSummary(
-            e2e_tps=(committed / self.last_commit_at) if self.last_commit_at > 0 else 0.0,
-            commit_tps=(committed / (self.last_commit_at - first_cut)
-                        if self.last_commit_at > first_cut else 0.0),
-            endorsement_tps=(counters.endorsed / self.last_endorse_at
-                             if self.last_endorse_at > 0 else 0.0),
+            e2e_tps=(committed / last_commit_at) if last_commit_at > 0 else 0.0,
+            commit_tps=(committed / (last_commit_at - first_cut)
+                        if last_commit_at > first_cut else 0.0),
+            endorsement_tps=(counters.endorsed / last_endorse_at
+                             if last_endorse_at > 0 else 0.0),
             time_ratio=(p1m / p2m) if p2m > 0 else 0.0,
         )
 
-        per_peer_mean = [s / n if n else 0.0
-                         for s, n in zip(self._peer_commit_sum, self._peer_commit_n)]
+        n = len(self.peers)
+        commit_sum = [0.0] * n
+        commit_n = [0] * n
+        for t in self._commits:
+            commit_sum[t.peer_id] += t.p1_duration + t.p2_duration
+            commit_n[t.peer_id] += 1
+        per_peer_mean = [s / k if k else 0.0 for s, k in zip(commit_sum, commit_n)]
 
         tx_trace = tx_parents = block_trace = None
         if self.collect_traces:
@@ -272,7 +248,7 @@ class Simulation:
             throughput=throughput,
             status="truncated" if truncated else "drained",
             makespan=makespan,
-            last_commit_at=self.last_commit_at,
+            last_commit_at=last_commit_at,
             n_blocks=len(blocks),
             eligible_multi_fraction=(self._elig_acc / makespan) if makespan > 0 else 0.0,
             wait_events=self.controller.events,
@@ -283,13 +259,20 @@ class Simulation:
             block_trace=block_trace,
         )
 
+    def _stage_samples(self, endorsed, committed):
+        """(stage, samples) per report stage, each in the order the run made
+        them: endorsement order, block order, or commit-event order."""
+        yield "endorse_total", [tx.endorse_end - tx.endorse_start for tx in endorsed]
+        yield "quorum_wait", [tx.quorum_wait for tx in endorsed]
+        yield "block_creation", [b.creation_time for b in self.orderer.blocks]
+        commits = self._commits
+        yield "phase1", [t.p1_duration for t in commits]
+        yield "phase2", [t.p2_duration for t in commits]
+        yield "commit_total", [t.p1_duration + t.p2_duration for t in commits]
+        yield "e2e", [tx.committed_at - tx.created_at for b in committed for tx in b.txs]
+
 
 def run_scenario(config: ScenarioConfig, collect_traces: bool | None = None,
-                 extra_dep_probs=(), record_eligibility: bool = False) -> RunResult:
-    sim = Simulation(config, collect_traces=collect_traces,
-                     extra_dep_probs=extra_dep_probs,
-                     record_eligibility=record_eligibility)
-    result = sim.run()
-    if record_eligibility:
-        result.eligibility_log = sim.endorsement.eligibility_log
-    return result
+                 extra_dep_probs=()) -> RunResult:
+    return Simulation(config, collect_traces=collect_traces,
+                      extra_dep_probs=extra_dep_probs).run()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .config import ConfigError, ScenarioConfig, set_by_path
+from .config import ConfigError, ScenarioConfig, set_by_path, validate
 from .kernel import SimulationError
 from .metrics import summary_row
 from .simulate import run_scenario
@@ -18,7 +18,10 @@ __all__ = ["expand_grid", "run_sweep"]
 
 
 def expand_grid(base: ScenarioConfig, grid: dict, seeds) -> list[ScenarioConfig]:
-    """All grid-point configs, in deterministic order."""
+    """All grid-point configs, in deterministic order.
+
+    Raises ConfigError when a seeded config is invalid (a negative seed).
+    """
     keys = sorted(grid)
     combos = itertools.product(*(grid[k] for k in keys)) if keys else [()]
     configs = []
@@ -27,7 +30,11 @@ def expand_grid(base: ScenarioConfig, grid: dict, seeds) -> list[ScenarioConfig]
         for key, value in zip(keys, combo):
             cfg = set_by_path(cfg, key, value)
         for seed in seeds:
-            configs.append(cfg.with_seed(int(seed)))
+            seeded = cfg.with_seed(int(seed))
+            errors = validate(seeded)
+            if errors:
+                raise ConfigError(errors)
+            configs.append(seeded)
     return configs
 
 

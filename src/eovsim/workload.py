@@ -192,10 +192,6 @@ class ArrivalSource:
     def pool_exhausted(self) -> bool:
         return self._pool_cursor >= len(self.pending_pool)
 
-    @property
-    def created(self) -> int:
-        return len(self.txs)
-
     def exhausted(self) -> bool:
         if self.cfg.arrival_process == "pool":
             return self.pool_exhausted()

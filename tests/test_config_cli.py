@@ -462,6 +462,16 @@ def test_cli_sweep_negative_seeds_exit_2(tmp_path, capsys, seeds):
     assert not (tmp_path / "sw").exists()
 
 
+def test_sweep_negative_seed_is_config_error():
+    # the library call, not only the CLI, refuses a negative seed before
+    # any run starts
+    from eovsim import run_sweep
+    with pytest.raises(ConfigError, match="seed"):
+        run_sweep(preset("waiting-2peer"), {}, [-1])
+    with pytest.raises(ConfigError, match="seed"):
+        run_sweep(tiny_config(), {"commit_mode": ["serial"]}, [1, -2])
+
+
 def test_waiting_preset_run_under_five_seconds_wall(tmp_path):
     import time
     from eovsim import emit_report, run_scenario
@@ -493,12 +503,16 @@ def test_sweep_commit_mode_over_dissemination_presets_eight_rows():
 def test_pvtdata_preset_fetch_calibration_blend():
     # one data-holding endorser and four on-demand fetchers average ~2.0 s
     # under (1,1); broadcast keeps everyone on the ~0.5 s local path
+    def mean(spec):
+        assert spec.family == "normal"
+        return spec.mean * spec.scale
+
     cfg = preset("pvtdata-250x600", variant="1-1")
-    local = cfg.commit_model.pvt_fetch_local.base_mean
-    remote = cfg.commit_model.pvt_fetch_remote.base_mean
+    local = mean(cfg.commit_model.pvt_fetch_local)
+    remote = mean(cfg.commit_model.pvt_fetch_remote)
     assert math.isclose((local + 4 * remote) / 5, 2.007, rel_tol=0.01)
     cfg44 = preset("pvtdata-250x600", variant="4-4")
-    assert math.isclose(cfg44.commit_model.pvt_fetch_local.base_mean, 0.515)
+    assert math.isclose(mean(cfg44.commit_model.pvt_fetch_local), 0.515)
 
 
 def test_cli_help_lists_presets(capsys):

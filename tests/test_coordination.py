@@ -44,7 +44,7 @@ def test_gap_beyond_ceiling_stands_down():
     sim.peers[0].height, sim.peers[1].height = 30, 10
     with pytest.raises(SimulationIntegrityError):
         ctl.on_commit_event()
-    assert not ctl.active and ctl.paused == set() and ctl.boosted_peer is None
+    assert ctl.paused == set() and ctl.boosted_peer is None
     assert not any(p.paused for p in sim.peers)
     assert all(p.boost_factor == 1.0 for p in sim.peers)
 
@@ -55,16 +55,16 @@ def test_resume_boundary_inclusive():
     sim.peers[0].height, sim.peers[1].height = 40, 34  # gap 6 = tau + 1
     ctl.on_commit_event()
     ctl.on_commit_event()
-    assert ctl.active and sim.peers[0].paused          # gap 6: pause continues
+    assert ctl.paused and sim.peers[0].paused          # gap 6: pause continues
     sim.peers[1].height = 35                            # gap 5 == tau
     ctl.on_commit_event()
-    assert not ctl.active and not sim.peers[0].paused  # resumes at tau
+    assert not ctl.paused and not sim.peers[0].paused  # resumes at tau
     sim.peers[1].height = 34
     ctl.on_commit_event()
-    assert ctl.active
+    assert ctl.paused
     sim.peers[1].height = 40                            # gap 0
     ctl.on_commit_event()
-    assert not ctl.active and not sim.peers[0].paused
+    assert not ctl.paused and not sim.peers[0].paused
 
 
 def test_ceiling_logged_once_per_crossing():
@@ -112,7 +112,7 @@ def test_gap_growth_during_pause_is_integrity_failure():
     ctl = WaitingController(sim, POLICY)
     sim.peers[0].height, sim.peers[1].height = 40, 34
     ctl.on_commit_event()
-    assert ctl.active and sim.peers[0].paused
+    assert ctl.paused and sim.peers[0].paused
     sim.peers[0].height = 41  # impossible: the leader is paused
     with pytest.raises(SimulationIntegrityError):
         ctl.on_commit_event()
@@ -125,12 +125,12 @@ def test_pause_resume_cycle_and_event_log():
     ctl.on_commit_event()
     assert {e.kind for e in ctl.events} == {"pause_start", "boost_start"}
     ctl.on_commit_event()  # another commit at gap tau + 1 keeps the pause
-    assert ctl.active and sim.peers[0].paused and len(ctl.events) == 2
+    assert ctl.paused and sim.peers[0].paused and len(ctl.events) == 2
     sim.peers[1].height = 35  # lagger commits, gap closes to tau (inclusive)
     ctl.on_commit_event()
     kinds = [e.kind for e in ctl.events]
     assert "pause_end" in kinds and "boost_end" in kinds
-    assert not ctl.active and not sim.peers[0].paused
+    assert not ctl.paused and not sim.peers[0].paused
     assert sim.peers[1].boost_factor == 1.0
 
 

@@ -139,6 +139,9 @@ def test_single_leader_at_capacity_drops():
     sim = _sim(leader=LeaderPolicy("max_ht"))
     es = sim.endorsement
     es.peers[0].height = 5  # sole leader
+    # heights change only on a commit, which refreshes the eligible set
+    sim.eligible = eligible_endorsers(sim.config.leader, [p.height for p in es.peers])
+    assert sim.eligible == [0]
     leader = es.peers[0]
     leader.busy = sim.config.peers.endorse_concurrency
     for _ in range(sim.config.peers.gateway_buffer):

@@ -1,6 +1,7 @@
 """Generated-input property suites, >= 1000 cases each."""
 
 from dataclasses import replace
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
@@ -15,9 +16,11 @@ from eovsim import (
     ScenarioConfig,
     WaitingPolicy,
     WorkloadConfig,
+    eligible_endorsers,
     quorum_satisfied,
     run_scenario,
 )
+from eovsim.endorsement import EndorsementSystem
 from eovsim.metrics import render_report
 from eovsim.simulate import Simulation
 from eovsim.workload import TxStatus
@@ -237,10 +240,23 @@ def test_quorum_wait_pointwise_monotone_in_relaxation(m, raw_delays, timeout, da
 @CASES
 @given(scenario())
 def test_eligibility_soundness(cfg):
-    res = run_scenario(cfg, collect_traces=False, record_eligibility=True)
-    for tx_id, endorser, eligible in res.eligibility_log:
-        if endorser is not None:
-            assert endorser in eligible
+    # at every routing call the simulation's eligible set is the policy's
+    # set for the current heights, and the chosen endorser is in it
+    route = EndorsementSystem.route_transaction
+    calls = 0
+
+    def checked_route(system, tx):
+        nonlocal calls
+        calls += 1
+        sim = system.sim
+        assert sim.eligible == eligible_endorsers(cfg.leader, [p.height for p in sim.peers])
+        peer = route(system, tx)
+        assert peer is None or peer.peer_id in sim.eligible
+        return peer
+
+    with patch.object(EndorsementSystem, "route_transaction", checked_route):
+        res = run_scenario(cfg, collect_traces=False)
+    assert calls == res.counters.created  # every arrival is routed once
 
 
 @CASES

@@ -17,7 +17,7 @@ def test_deterministic_total_count_matches_table_load():
     sim = Simulation(cfg, collect_traces=False)
     sim.source.start()
     sim.kernel.run_until(300.0)
-    assert sim.source.created == 375_000
+    assert len(sim.source.txs) == 375_000
 
 
 def test_single_client_arrival_times():
@@ -43,7 +43,7 @@ def test_poisson_count_within_three_sigma():
         sim = Simulation(cfg, collect_traces=False)
         sim.source.start()
         sim.kernel.run_until(300.0)
-        assert abs(sim.source.created - lam) <= bound
+        assert abs(len(sim.source.txs) - lam) <= bound
 
 
 def test_dependency_p_zero_never_assigns():
