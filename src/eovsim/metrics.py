@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 from .kernel import SimulationIntegrityError
 
 __all__ = [
     "RunCounters", "LatencySummary", "ThroughputSummary",
-    "success_ratio", "fmt", "summary_columns", "summary_row", "emit_report",
+    "success_ratio", "fmt", "STAGES", "summary_row", "emit_report",
 ]
 
 
@@ -105,96 +106,91 @@ def fmt(x) -> str:
     return str(x)
 
 
-_STAGES = ("endorse_total", "quorum_wait", "block_creation",
-           "phase1", "phase2", "commit_total", "e2e")
-
-_COUNTER_COLS = ("created", "endorsed", "dropped", "dropped_capacity",
-                 "dropped_quorum", "dropped_horizon", "committed_valid",
-                 "committed_invalid_mvcc", "in_flight_at_horizon")
+STAGES = ("endorse_total", "quorum_wait", "block_creation",
+          "phase1", "phase2", "commit_total", "e2e")
+_STATS = ("mean", "std", "p50", "p95", "p99", "count")
 
 
-def summary_columns() -> list[str]:
-    cols = ["config_hash", "seed", "status", "leader_kind", "leader_tau",
-            "dissem_m", "dissem_r", "dissem_relaxed", "commit_mode",
-            "cut_kind", "block_size", "cut_timeout", "dependency_prob",
-            "peers", "vscc_core_scale", "waiting_enabled"]
-    cols += list(_COUNTER_COLS)
-    cols += ["success_ratio", "e2e_tps", "commit_tps", "endorsement_tps",
-             "time_ratio", "eligible_multi_fraction", "makespan", "last_commit_at",
-             "blocks", "error"]
-    for stage in _STAGES:
-        for stat in ("mean", "std", "p50", "p95", "p99", "count"):
-            cols.append(f"{stage}_{stat}")
-    return cols
+def _success_ratio(result) -> float:
+    c = result.counters
+    return (success_ratio(c.created, c.endorsed, c.committed_invalid_mvcc)
+            if c.created else 0.0)
+
+
+def _stage_stat(stage: str, stat: str):
+    empty = 0 if stat == "count" else 0.0
+
+    def value(result):
+        summ = result.summaries.get(stage)
+        return getattr(summ, stat) if summ else empty
+    return value
+
+
+# summary.csv, in column order: (column, RunResult attribute path or function)
+_SUMMARY = tuple((col, attrgetter(src) if isinstance(src, str) else src) for col, src in (
+    ("config_hash", "config_hash"),
+    ("seed", "config.seed"),
+    ("status", "status"),
+    ("leader_kind", "config.leader.kind"),
+    ("leader_tau", "config.leader.tau"),
+    ("dissem_m", "config.dissemination.max_peer_count"),
+    ("dissem_r", "config.dissemination.required_peer_count"),
+    ("dissem_relaxed", "config.dissemination.relaxed"),
+    ("commit_mode", "config.commit_mode"),
+    ("cut_kind", "config.cut_rule.kind"),
+    ("block_size", "config.cut_rule.block_size"),
+    ("cut_timeout", "config.cut_rule.timeout"),
+    ("dependency_prob", "config.workload.dependency_prob"),
+    ("peers", "config.peers.count"),
+    ("vscc_core_scale", "config.commit_model.vscc_core_scale"),
+    ("waiting_enabled", "config.waiting.enabled"),
+    *((f.name, f"counters.{f.name}") for f in fields(RunCounters)),
+    ("success_ratio", _success_ratio),
+    ("e2e_tps", "throughput.e2e_tps"),
+    ("commit_tps", "throughput.commit_tps"),
+    ("endorsement_tps", "throughput.endorsement_tps"),
+    ("time_ratio", "throughput.time_ratio"),
+    ("eligible_multi_fraction", "eligible_multi_fraction"),
+    ("makespan", "makespan"),
+    ("last_commit_at", "last_commit_at"),
+    ("blocks", "n_blocks"),
+    ("error", lambda result: ""),  # a run that returns has none; see sweep.run_sweep
+    *((f"{stage}_{stat}", _stage_stat(stage, stat)) for stage in STAGES for stat in _STATS),
+))
+_HEADER = ",".join(col for col, _ in _SUMMARY) + "\n"
 
 
 def summary_row(result) -> dict:
     """Flatten one RunResult into the stable summary schema."""
-    cfg = result.config
-    c = result.counters
-    row = {
-        "config_hash": result.config_hash,
-        "seed": cfg.seed,
-        "status": result.status,
-        "leader_kind": cfg.leader.kind,
-        "leader_tau": cfg.leader.tau,
-        "dissem_m": cfg.dissemination.max_peer_count,
-        "dissem_r": cfg.dissemination.required_peer_count,
-        "dissem_relaxed": cfg.dissemination.relaxed,
-        "commit_mode": cfg.commit_mode,
-        "cut_kind": cfg.cut_rule.kind,
-        "block_size": cfg.cut_rule.block_size,
-        "cut_timeout": cfg.cut_rule.timeout,
-        "dependency_prob": cfg.workload.dependency_prob,
-        "peers": cfg.peers.count,
-        "vscc_core_scale": cfg.commit_model.vscc_core_scale,
-        "waiting_enabled": cfg.waiting.enabled,
-        "success_ratio": (success_ratio(c.created, c.endorsed, c.committed_invalid_mvcc)
-                          if c.created else 0.0),
-        "e2e_tps": result.throughput.e2e_tps,
-        "commit_tps": result.throughput.commit_tps,
-        "endorsement_tps": result.throughput.endorsement_tps,
-        "time_ratio": result.throughput.time_ratio,
-        "eligible_multi_fraction": result.eligible_multi_fraction,
-        "makespan": result.makespan,
-        "last_commit_at": result.last_commit_at,
-        "blocks": result.n_blocks,
-        "error": result.error or "",
-    }
-    for col in _COUNTER_COLS:
-        row[col] = getattr(c, col)
-    for stage in _STAGES:
-        summ = result.summaries.get(stage)
-        for stat in ("mean", "std", "p50", "p95", "p99"):
-            row[f"{stage}_{stat}"] = getattr(summ, stat) if summ else 0.0
-        row[f"{stage}_count"] = summ.count if summ else 0
-    return row
+    return {col: value(result) for col, value in _SUMMARY}
 
 
 def render_summary_csv(rows) -> str:
-    cols = summary_columns()
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(fmt(row.get(col, "")) for col in cols))
-    return "\n".join(lines) + "\n"
+    """The header and one line per row; a column a row lacks is empty."""
+    return _HEADER + "".join(
+        ",".join(fmt(row.get(col, "")) for col, _ in _SUMMARY) + "\n" for row in rows)
+
+
+def _r6(x: float) -> float:
+    return float(f"{x:.6g}")
 
 
 def _tx_trace_row(tx, parent) -> dict:
     return {
         "tx_id": tx.tx_id,
         "client": tx.client_id,
-        "created_at": tx.created_at,
+        "created_at": _r6(tx.created_at),
         "parent": parent,
         "endorser": tx.endorser,
-        "endorse_start": tx.endorse_start,
-        "endorse_end": tx.endorse_end,
-        "quorum_wait": tx.quorum_wait,
+        "endorse_start": _r6(tx.endorse_start),
+        "endorse_end": _r6(tx.endorse_end),
+        "quorum_wait": _r6(tx.quorum_wait),
         "retries_used": tx.retries_used,
         "disseminated_to": list(tx.disseminated_to) if tx.disseminated_to else [],
-        "ordered_at": tx.ordered_at,
+        "ordered_at": _r6(tx.ordered_at),
         "block_num": tx.block_num,
         "block_pos": tx.block_pos,
-        "committed_at": tx.committed_at,
+        "committed_at": _r6(tx.committed_at),
         "status": tx.status,
         "drop_reason": tx.drop_reason,
     }
@@ -204,30 +200,22 @@ def _block_trace_row(block, timings) -> dict:
     return {
         "block_num": block.block_num,
         "size": block.size,
-        "first_enqueued_at": block.first_enqueued_at,
-        "cut_at": block.cut_at,
-        "creation_time": block.creation_time,
-        "first_commit_at": block.first_commit_at,
+        "first_enqueued_at": _r6(block.first_enqueued_at),
+        "cut_at": _r6(block.cut_at),
+        "creation_time": _r6(block.creation_time),
+        "first_commit_at": _r6(block.first_commit_at),
         "peers": {
-            str(t.peer_id): {"p1_start": t.p1_start, "p1_end": t.p1_end,
-                             "p2_start": t.p2_start, "p2_end": t.p2_end}
+            str(t.peer_id): {"p1_start": _r6(t.p1_start), "p1_end": _r6(t.p1_end),
+                             "p2_start": _r6(t.p2_start), "p2_end": _r6(t.p2_end)}
             for t in timings
         },
     }
 
 
-def _round6(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.6g}")
-    if isinstance(obj, dict):
-        return {k: _round6(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round6(v) for v in obj]
-    return obj
-
-
 def _jsonl(rows) -> str:
-    return "".join(json.dumps(_round6(r), sort_keys=True, separators=(",", ":")) + "\n"
+    # floats arrive rounded to 6 significant digits; sort_keys orders the
+    # nested per-peer keys too
+    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
                    for r in rows)
 
 
@@ -248,7 +236,7 @@ def render_report(result) -> dict:
         files["blocks.jsonl"] = _jsonl(
             _block_trace_row(b, ts) for b, ts in result.block_trace)
     if result.config.waiting.enabled:
-        rows = [{"at": e.at, "kind": e.kind, "leader": e.leader,
+        rows = [{"at": _r6(e.at), "kind": e.kind, "leader": e.leader,
                  "lagger": e.lagger, "gap": e.gap} for e in result.wait_events]
         files["wait_events.jsonl"] = _jsonl(rows)
     return files

@@ -79,9 +79,9 @@ class Orderer:
 
     # -- cutting -----------------------------------------------------------
 
-    def cut_block(self) -> Block | None:
-        if not self.queue:
-            return None
+    def cut_block(self) -> None:
+        """Cut the head of the queue, which every caller checks is non-empty,
+        into the next block."""
         if self._timeout_handle is not None:
             self._timeout_handle.cancel()
             self._timeout_handle = None
@@ -102,7 +102,6 @@ class Orderer:
         self.first_enqueued_at = now if leftover else -1.0
         self._resolve_local_data(block)
         self.sim.on_block_cut(block)
-        return block
 
     def _resolve_local_data(self, block: Block) -> None:
         """Freeze per-peer data availability at cut time.

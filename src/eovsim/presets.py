@@ -10,11 +10,11 @@ balance). Dissemination variants are named "1-1", "4-4", "4-1", "4-1*".
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .config import (
     BlockCutRule,
     CommitLatencyModel,
+    ConfigError,
     DisseminationStrategy,
     EndorseLatencyModel,
     LeaderPolicy,
@@ -24,11 +24,10 @@ from .config import (
     WorkloadConfig,
     validate,
 )
-from .config import ConfigError
 from .kernel import DistributionSpec as D
 
 __all__ = ["PRESETS", "DISSEMINATION_VARIANTS", "CORE_SCALE_GRID",
-           "TABLE_PHASE_CONSTANTS", "preset", "preset_names", "apply_variant"]
+           "TABLE_PHASE_CONSTANTS", "preset", "preset_names"]
 
 
 DISSEMINATION_VARIANTS = {
@@ -71,31 +70,25 @@ def _shifted_exp_quantiles(shift: float, mean: float, n: int = 512) -> tuple[flo
 _ACK_SAMPLES = _shifted_exp_quantiles(0.035, 0.075)
 
 
-def apply_variant(cfg: ScenarioConfig, variant: str) -> ScenarioConfig:
+def _dissemination(variant: str) -> DisseminationStrategy:
+    """The (m, r) quorum of a dissemination variant, as the studies run it."""
     if variant not in DISSEMINATION_VARIANTS:
         raise ConfigError([f"dissemination variant {variant!r}; "
                            f"known: {sorted(DISSEMINATION_VARIANTS)}"])
     m, r, relaxed = DISSEMINATION_VARIANTS[variant]
-    dissem = replace(cfg.dissemination, max_peer_count=m,
-                     required_peer_count=r, relaxed=relaxed)
-    out = replace(cfg, dissemination=dissem)
-    if variant in _PVTDATA_COMMIT and cfg.commit_model.vscc.family == "normal":
-        vscc, local, mvcc, store, statedb = _PVTDATA_COMMIT[variant]
-        out = replace(out, commit_model=replace(
-            cfg.commit_model,
-            vscc=D.normal(*vscc), pvt_fetch_local=D.normal(*local),
-            mvcc=D.normal(*mvcc), block_store=D.normal(*store),
-            statedb=D.normal(*statedb)))
-    return out
+    return DisseminationStrategy(max_peer_count=m, required_peer_count=r, relaxed=relaxed,
+                                 ack_timeout=0.35, max_retries=1)
 
 
 def _pvtdata(variant: str = "1-1", duration: float = 600.0) -> ScenarioConfig:
-    base = ScenarioConfig(
+    dissemination = _dissemination(variant)
+    vscc, local, mvcc, store, statedb = _PVTDATA_COMMIT[variant]
+    return ScenarioConfig(
         seed=1,
         horizon=6000.0,
         workload=WorkloadConfig(num_clients=5, rate_per_client=250.0, duration=duration),
         peers=PeerGroupConfig(count=5, gateway_buffer=1000, endorse_concurrency=10_000),
-        dissemination=DisseminationStrategy(ack_timeout=0.35, max_retries=1),
+        dissemination=dissemination,
         leader=LeaderPolicy(kind="ranked_list"),
         cut_rule=BlockCutRule(kind="size_with_timeout", block_size=4000, timeout=10.0),
         commit_mode="serial",
@@ -104,14 +97,13 @@ def _pvtdata(variant: str = "1-1", duration: float = 600.0) -> ScenarioConfig:
             overhead=D.constant(0.0),
             ack=D.empirical(_ACK_SAMPLES)),
         commit_model=CommitLatencyModel(
-            vscc=D.normal(0.806, 0.15),
-            pvt_fetch_local=D.normal(0.5, 0.11),
+            vscc=D.normal(*vscc),
+            pvt_fetch_local=D.normal(*local),
             pvt_fetch_remote=D.normal(*_REMOTE_FETCH),
-            mvcc=D.normal(0.133, 0.029),
-            block_store=D.normal(0.152, 0.033),
-            statedb=D.normal(0.824, 0.125)),
+            mvcc=D.normal(*mvcc),
+            block_store=D.normal(*store),
+            statedb=D.normal(*statedb)),
     )
-    return apply_variant(base, variant)
 
 
 def _blocksize(load: str) -> ScenarioConfig:
@@ -174,15 +166,14 @@ def _leader_selection() -> ScenarioConfig:
 
 
 def _pipeline(variant: str = "4-1*") -> ScenarioConfig:
-    if variant not in TABLE_PHASE_CONSTANTS:
-        raise ConfigError([f"unknown pipeline variant {variant!r}"])
+    dissemination = _dissemination(variant)
     c = TABLE_PHASE_CONSTANTS[variant]
-    base = ScenarioConfig(
+    return ScenarioConfig(
         seed=1,
         horizon=8000.0,
         workload=WorkloadConfig(num_clients=5, rate_per_client=400.0, duration=600.0),
         peers=PeerGroupConfig(count=5, gateway_buffer=10_000, endorse_concurrency=10_000),
-        dissemination=DisseminationStrategy(ack_timeout=0.35, max_retries=1),
+        dissemination=dissemination,
         leader=LeaderPolicy(kind="ranked_list"),
         cut_rule=BlockCutRule(kind="size_with_timeout", block_size=4000, timeout=10.0),
         commit_mode="pipelined",
@@ -196,7 +187,6 @@ def _pipeline(variant: str = "4-1*") -> ScenarioConfig:
             pvt_fetch_remote=D.constant(c["fetch"]),
             statedb=D.constant(c["p2"])),
     )
-    return apply_variant(base, variant)
 
 
 def _cores_sweep() -> ScenarioConfig:
@@ -252,7 +242,8 @@ def preset(name: str, variant: str | None = None) -> ScenarioConfig:
     if variant is not None and name in ("pvtdata-250x600", "pipeline-400x600"):
         cfg = fn(variant)
     elif variant is not None:
-        raise ConfigError([f"preset {name!r} takes no dissemination variant"])
+        raise ConfigError([f"preset {name!r} takes no dissemination variant, "
+                           f"got {variant!r}"])
     else:
         cfg = fn()
     errors = validate(cfg)

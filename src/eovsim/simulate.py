@@ -10,7 +10,7 @@ from .config import ScenarioConfig, config_hash
 from .coordination import WaitingController
 from .endorsement import EndorsementSystem, PeerState, eligible_endorsers
 from .kernel import EventKind, SimKernel, StreamRegistry
-from .metrics import LatencySummary, RunCounters, ThroughputSummary
+from .metrics import STAGES, LatencySummary, RunCounters, ThroughputSummary
 from .ordering import Orderer
 from .workload import ArrivalSource, TxStatus
 
@@ -35,7 +35,6 @@ class RunResult:
     tx_trace: list | None = None
     tx_parents: list | None = None   # parent id or None per tx_trace entry
     block_trace: list | None = None
-    error: str | None = None
     version: str = _version
 
 
@@ -204,7 +203,7 @@ class Simulation:
         endorsed = [tx for b in blocks for tx in b.txs]
         endorsed += self.orderer.queue
         summaries = {}
-        for label, samples in self._stage_samples(endorsed, committed_prefix):
+        for label, samples in zip(STAGES, self._stage_samples(endorsed, committed_prefix)):
             summ = LatencySummary.from_samples(label, samples)
             if summ is not None:
                 summaries[label] = summ
@@ -260,16 +259,17 @@ class Simulation:
         )
 
     def _stage_samples(self, endorsed, committed):
-        """(stage, samples) per report stage, each in the order the run made
-        them: endorsement order, block order, or commit-event order."""
-        yield "endorse_total", [tx.endorse_end - tx.endorse_start for tx in endorsed]
-        yield "quorum_wait", [tx.quorum_wait for tx in endorsed]
-        yield "block_creation", [b.creation_time for b in self.orderer.blocks]
+        """The samples of each stage in STAGES, one list at a time, each in
+        the order the run made them: endorsement order, block order, or
+        commit-event order."""
+        yield [tx.endorse_end - tx.endorse_start for tx in endorsed]
+        yield [tx.quorum_wait for tx in endorsed]
+        yield [b.creation_time for b in self.orderer.blocks]
         commits = self._commits
-        yield "phase1", [t.p1_duration for t in commits]
-        yield "phase2", [t.p2_duration for t in commits]
-        yield "commit_total", [t.p1_duration + t.p2_duration for t in commits]
-        yield "e2e", [tx.committed_at - tx.created_at for b in committed for tx in b.txs]
+        yield [t.p1_duration for t in commits]
+        yield [t.p2_duration for t in commits]
+        yield [t.p1_duration + t.p2_duration for t in commits]
+        yield [tx.committed_at - tx.created_at for b in committed for tx in b.txs]
 
 
 def run_scenario(config: ScenarioConfig, collect_traces: bool | None = None,

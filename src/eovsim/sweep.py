@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .config import ConfigError, ScenarioConfig, set_by_path, validate
+from .config import ConfigError, ScenarioConfig, config_hash, set_by_path, validate
 from .kernel import SimulationError
 from .metrics import summary_row
 from .simulate import run_scenario
@@ -48,7 +48,6 @@ def run_sweep(base: ScenarioConfig, grid: dict, seeds, collect_traces: bool = Fa
             rows.append(summary_row(result))
             results.append(result)
         except (SimulationError, ConfigError) as exc:
-            from .config import config_hash
             rows.append({"config_hash": config_hash(cfg), "seed": cfg.seed,
                          "status": "failed", "error": f"{type(exc).__name__}: {exc}"})
             results.append(None)

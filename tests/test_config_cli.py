@@ -367,6 +367,17 @@ def test_cli_preset_unknown_exit_2(capsys):
     assert main(["preset", "not-a-preset"]) == 2
 
 
+@pytest.mark.parametrize("name, variant", [
+    ("pvtdata-250x600", "9-9"), ("pipeline-400x600", "9-9"), ("cores-sweep", "4-4")])
+def test_unknown_variant_is_config_error_naming_it(name, variant, capsys):
+    for args in ((name, variant), (f"{name}:{variant}",)):
+        with pytest.raises(ConfigError) as err:
+            preset(*args)
+        assert repr(variant) in str(err.value)
+    assert main(["preset", name, "--variant", variant]) == 2
+    assert repr(variant) in capsys.readouterr().err
+
+
 def test_cli_sweep_row_count(tmp_path):
     cfg = tiny_config()
     path = _write_cfg(tmp_path, cfg)

@@ -5,7 +5,8 @@ import pytest
 
 from eovsim import DistributionSpec as D
 from eovsim import LatencySummary, bench_commit, emit_report, run_scenario, success_ratio
-from eovsim.metrics import fmt, render_summary_csv
+from eovsim.kernel import SimulationIntegrityError
+from eovsim.metrics import fmt, render_summary_csv, summary_row
 from eovsim.presets import TABLE_PHASE_CONSTANTS
 
 from conftest import tiny_config
@@ -118,3 +119,35 @@ def test_sweep_summary_rows_keyed_by_config_hash():
     assert len({r["config_hash"] for r in rows}) == 5
     text = render_summary_csv(rows)
     assert text.count("\n") == 6  # header + 5 rows
+
+
+def test_sweep_failed_row_has_error_and_empty_cells(monkeypatch):
+    import eovsim.sweep as sweep_mod
+    from eovsim import config_hash, run_sweep
+    run = sweep_mod.run_scenario
+
+    def fail_seed_2(cfg, **kw):
+        if cfg.seed == 2:
+            raise SimulationIntegrityError("boom")
+        return run(cfg, **kw)
+
+    monkeypatch.setattr(sweep_mod, "run_scenario", fail_seed_2)
+    cfg = tiny_config()
+    rows, results = run_sweep(cfg, {}, seeds=[1, 2, 3])
+    assert results[1] is None
+    assert rows[1] == {"config_hash": config_hash(cfg.with_seed(2)), "seed": 2,
+                       "status": "failed", "error": "SimulationIntegrityError: boom"}
+    header, *lines = [line.split(",") for line in render_summary_csv(rows).splitlines()]
+    assert len(lines) == 3
+    failed = dict(zip(header, lines[1], strict=True))
+    assert {col for col, cell in failed.items() if cell} == {
+        "config_hash", "seed", "status", "error"}
+    assert failed["status"] == "failed"
+    assert failed["error"] == "SimulationIntegrityError: boom"
+    # the neighbours are exactly the rows of their own unpatched runs
+    for i, seed in ((0, 1), (2, 3)):
+        assert results[i].config.seed == seed
+        alone = run(cfg.with_seed(seed), collect_traces=False)
+        assert rows[i] == summary_row(alone)
+        assert rows[i]["error"] == ""
+        assert lines[i] == render_summary_csv([rows[i]]).splitlines()[1].split(",")
