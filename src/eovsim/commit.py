@@ -68,10 +68,8 @@ class CommitEngine:
         self.blocks = []            # delivered blocks, in order
         self.timings: list[PhaseTiming] = []
         self.p1_next = 0            # next block index to start phase 1
-        self.p2_next = 0            # next block index to start phase 2
         self.p1_busy = False
         self.p2_busy = False
-        self.p2_prev_end = 0.0
 
     def on_block_delivered(self, block) -> None:
         self.blocks.append(block)
@@ -85,7 +83,7 @@ class CommitEngine:
         if self.p1_busy or self.p1_next >= len(self.blocks):
             return
         idx = self.p1_next
-        if self.mode == "serial" and self.p2_next < idx:
+        if self.mode == "serial" and self.peer.height < idx:
             return  # strict discipline: previous block must fully commit first
         block = self.blocks[idx]
         size = block.size
@@ -108,19 +106,21 @@ class CommitEngine:
         self._maybe_start_p2()
 
     def _maybe_start_p2(self) -> None:
-        if self.p2_busy or self.p2_next >= self.p1_next or self.peer.paused:
+        # the peer's height is the phase-2 cursor: blocks commit in order
+        idx = self.peer.height
+        if self.p2_busy or idx >= self.p1_next or self.peer.paused:
             return
-        idx = self.p2_next
         block = self.blocks[idx]
         size = block.size
         dur = (self.model.mvcc.sample(self._mvcc, size)
                + self.model.block_store.sample(self._store, size)
                + self.model.statedb.sample(self._statedb, size)) * self._factor()
         now = self.sim.kernel.now
-        if now < self.p2_prev_end - 1e-12:
+        prev_end = self.timings[idx - 1].p2_end if idx else 0.0
+        if now < prev_end - 1e-12:
             raise SimulationIntegrityError(
                 f"peer {self.peer.peer_id}: phase 2 of block {block.block_num} "
-                f"would start at {now} before previous phase 2 ended at {self.p2_prev_end}")
+                f"would start at {now} before previous phase 2 ended at {prev_end}")
         self.p2_busy = True
         t = self.timings[idx]
         t.p2_start = now
@@ -129,25 +129,20 @@ class CommitEngine:
                                  lambda: self._on_p2_done(idx))
 
     def _on_p2_done(self, idx: int) -> None:
-        if idx != self.p2_next:
+        peer = self.peer
+        if idx != peer.height:
             raise SimulationIntegrityError(
-                f"peer {self.peer.peer_id}: out-of-order phase 2 completion "
-                f"(block index {idx}, expected {self.p2_next})")
+                f"peer {peer.peer_id}: out-of-order phase 2 completion "
+                f"(block index {idx}, expected {peer.height})")
         self.p2_busy = False
-        self.p2_next += 1
-        self.p2_prev_end = self.sim.kernel.now
-        self.peer.height += 1
-        self.sim.on_commit(self.peer, self.blocks[idx], self.timings[idx])
+        peer.height += 1
+        self.sim.on_commit(peer, self.blocks[idx], self.timings[idx])
         self.kick()
 
     def kick(self) -> None:
         """Re-check both phases (pause released, or external state changed)."""
         self._maybe_start_p1()
         self._maybe_start_p2()
-
-    @property
-    def committed(self) -> int:
-        return self.p2_next
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +209,12 @@ def bench_commit(p1_dist, p2_dist, block_size: int, mode: str, n_blocks: int,
         raise ValueError("need 0 <= warmup < n_blocks")
     sim = _StubSim()
     model = CommitLatencyModel(vscc=p1_dist, mvcc=p2_dist)
-    engine = CommitEngine(sim, PeerState(0), model, mode)
+    peer = PeerState(0)
+    engine = CommitEngine(sim, peer, model, mode)
     for i in range(n_blocks):
         engine.on_block_delivered(_StubBlock(i + 1))
     sim.kernel.run_until()
-    if engine.committed != n_blocks:
+    if peer.height != n_blocks:
         raise SimulationIntegrityError("bench did not commit every block")
     t0 = sim.commit_times[warmup - 1] if warmup else 0.0
     elapsed = sim.commit_times[-1] - t0

@@ -361,6 +361,8 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             e.append("waiting: need 0 < tau < ceiling")
         if len(wt.baseline_means) != p.count:
             e.append("waiting.baseline_means: length must equal peers.count")
+        elif any(m <= 0 for m in wt.baseline_means):
+            e.append("waiting.baseline_means: must be positive")
         elif wt.boosted_mean >= max(wt.baseline_means):
             e.append("waiting.boosted_mean: must be below the lagger baseline mean")
         elif wt.boosted_mean <= 0:

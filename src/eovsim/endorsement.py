@@ -125,7 +125,6 @@ class EndorsementSystem:
         # each peer's next dissemination round, cycling through one period
         self._rotation = [cycle(_rotation(p.peer_id, len(peers), strategy.max_peer_count))
                           for p in peers]
-        self.inflight = 0
 
     # -- routing ---------------------------------------------------------
 
@@ -164,12 +163,10 @@ class EndorsementSystem:
     def admit(self, peer: PeerState, tx: Transaction) -> None:
         if peer.busy < self.concurrency:
             peer.busy += 1
-            self.inflight += 1
             self._begin(peer, tx)
         elif len(peer.buffer) < self.buffer_cap:
             tx.status = TxStatus.BUFFERED
             peer.buffer.append(tx)
-            self.inflight += 1
         else:
             self._drop(tx, "capacity")
 
@@ -230,9 +227,7 @@ class EndorsementSystem:
         return False, total_wait, (), 0, strategy.max_retries
 
     def _complete(self, peer: PeerState, tx: Transaction, ok: bool) -> None:
-        now = self.sim.kernel.now
-        tx.endorse_end = now
-        self.inflight -= 1
+        tx.endorse_end = self.sim.kernel.now
         if ok:
             tx.status = TxStatus.ENDORSED
             self.sim.on_endorsed(tx)
@@ -243,7 +238,7 @@ class EndorsementSystem:
             self._begin(peer, nxt)
         else:
             peer.busy -= 1
-            self.sim.on_slot_free(peer)
+            self.sim.pull_pooled()
         if peer.busy + len(peer.buffer) > self.concurrency + self.buffer_cap:
             raise SimulationIntegrityError(
                 f"peer {peer.peer_id}: {peer.busy} busy + {len(peer.buffer)} buffered "

@@ -60,10 +60,9 @@ class Event:
     the loop skips the entry and pending() does not count it.
     """
 
-    __slots__ = ("kind", "callback")
+    __slots__ = ("callback",)
 
-    def __init__(self, kind: EventKind, callback: Callable[[], None] | None):
-        self.kind = kind
+    def __init__(self, callback: Callable[[], None] | None):
         self.callback = callback
 
     def cancel(self) -> None:
@@ -80,9 +79,14 @@ class SimKernel:
         self.dispatched = 0
 
     def schedule(self, fire_at: float, kind: EventKind, callback: Callable[[], None]) -> Event:
+        """Queue callback to run at fire_at.
+
+        The loop does not read kind; it names the event for outside tools,
+        such as the benchmark tracer's per-kind event spans.
+        """
         if fire_at < self.now:
             raise SchedulingError(f"event scheduled at {fire_at} before now={self.now}")
-        event = Event(kind, callback)
+        event = Event(callback)
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (fire_at, seq, event))

@@ -160,6 +160,14 @@ _SUMMARY = tuple((col, attrgetter(src) if isinstance(src, str) else src) for col
 _HEADER = ",".join(col for col, _ in _SUMMARY) + "\n"
 
 
+def _cell(text: str) -> str:
+    """A CSV cell, quoted as RFC 4180 asks when it holds a comma, a quote or
+    a line break (a failed sweep row's error text can)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def summary_row(result) -> dict:
     """Flatten one RunResult into the stable summary schema."""
     return {col: value(result) for col, value in _SUMMARY}
@@ -168,14 +176,14 @@ def summary_row(result) -> dict:
 def render_summary_csv(rows) -> str:
     """The header and one line per row; a column a row lacks is empty."""
     return _HEADER + "".join(
-        ",".join(fmt(row.get(col, "")) for col, _ in _SUMMARY) + "\n" for row in rows)
+        ",".join(_cell(fmt(row.get(col, ""))) for col, _ in _SUMMARY) + "\n" for row in rows)
 
 
 def _r6(x: float) -> float:
     return float(f"{x:.6g}")
 
 
-def _tx_trace_row(tx, parent) -> dict:
+def _tx_trace_row(tx, parent, ordered_at: float, committed_at: float) -> dict:
     return {
         "tx_id": tx.tx_id,
         "client": tx.client_id,
@@ -187,10 +195,10 @@ def _tx_trace_row(tx, parent) -> dict:
         "quorum_wait": _r6(tx.quorum_wait),
         "retries_used": tx.retries_used,
         "disseminated_to": list(tx.disseminated_to) if tx.disseminated_to else [],
-        "ordered_at": _r6(tx.ordered_at),
+        "ordered_at": ordered_at,
         "block_num": tx.block_num,
         "block_pos": tx.block_pos,
-        "committed_at": _r6(tx.committed_at),
+        "committed_at": committed_at,
         "status": tx.status,
         "drop_reason": tx.drop_reason,
     }
@@ -231,8 +239,14 @@ def render_report(result) -> dict:
         }, sort_keys=True, indent=2) + "\n",
     }
     if result.tx_trace is not None:
+        # a transaction's order and commit times are its block's cut_at and
+        # first_commit_at, rounded once per block; stamps[n] is block n's, and
+        # stamps[0] stands for no block (block_num -1)
+        stamps = [(-1.0, -1.0)]
+        stamps += [(_r6(b.cut_at), _r6(b.first_commit_at)) for b, _ in result.block_trace]
         files["transactions.jsonl"] = _jsonl(
-            _tx_trace_row(tx, parent) for tx, parent in zip(result.tx_trace, result.tx_parents))
+            _tx_trace_row(tx, parent, *stamps[max(tx.block_num, 0)])
+            for tx, parent in zip(result.tx_trace, result.tx_parents))
         files["blocks.jsonl"] = _jsonl(
             _block_trace_row(b, ts) for b, ts in result.block_trace)
     if result.config.waiting.enabled:

@@ -95,7 +95,6 @@ class Orderer:
         block = Block(len(self.blocks) + 1, txs, self.first_enqueued_at, now)
         self.blocks.append(block)
         for pos, tx in enumerate(txs):
-            tx.ordered_at = now
             tx.block_num = block.block_num
             tx.block_pos = pos
         self.queue = leftover

@@ -73,9 +73,6 @@ class Simulation:
 
     # -- hooks from the subsystems ------------------------------------------
 
-    def submit(self, tx) -> None:
-        self.endorsement.submit(tx)
-
     def on_dropped(self, tx) -> None:
         self.counters.dropped += 1
         if tx.drop_reason == "capacity":
@@ -87,10 +84,6 @@ class Simulation:
     def on_endorsed(self, tx) -> None:
         self.counters.endorsed += 1
         self.orderer.enqueue_endorsed(tx)
-
-    def on_slot_free(self, peer) -> None:
-        if self._pool_mode:
-            self._resolve_pool_mode()
 
     def on_block_cut(self, block) -> None:
         pool = self.source.pool
@@ -112,16 +105,15 @@ class Simulation:
         self._commits.append(timing)
         if block.first_commit_at < 0:
             block.first_commit_at = now
-            for tx in block.txs:
-                tx.committed_at = now
         self.controller.on_commit_event()
         self._accrue_eligibility(now)
         self.eligible = eligible_endorsers(self.config.leader, [p.height for p in self.peers])
-        self._resolve_pool_mode()
+        self.pull_pooled()
 
     # -- pool-mode pulls ------------------------------------------------------
 
-    def _resolve_pool_mode(self) -> None:
+    def pull_pooled(self) -> None:
+        """Fill the free slots of eligible peers from the pool (pool mode only)."""
         if not self._pool_mode or self.source.pool_exhausted():
             return
         cap = self.config.peers.endorse_concurrency
@@ -142,7 +134,7 @@ class Simulation:
         self._elig_t = now
 
     def drained(self) -> bool:
-        return (self.source.exhausted() and self.endorsement.inflight == 0
+        return (self.source.exhausted() and not any(p.busy or p.buffer for p in self.peers)
                 and not self.orderer.queue)
 
     # -- run ------------------------------------------------------------------
@@ -150,7 +142,7 @@ class Simulation:
     def run(self) -> RunResult:
         self.source.start()
         self.orderer.start()
-        self._resolve_pool_mode()
+        self.pull_pooled()
         self.kernel.run_until(self.config.horizon)
         return self._finalize()
 
@@ -269,7 +261,7 @@ class Simulation:
         yield [t.p1_duration for t in commits]
         yield [t.p2_duration for t in commits]
         yield [t.p1_duration + t.p2_duration for t in commits]
-        yield [tx.committed_at - tx.created_at for b in committed for tx in b.txs]
+        yield [b.first_commit_at - tx.created_at for b in committed for tx in b.txs]
 
 
 def run_scenario(config: ScenarioConfig, collect_traces: bool | None = None,

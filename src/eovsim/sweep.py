@@ -38,13 +38,14 @@ def expand_grid(base: ScenarioConfig, grid: dict, seeds) -> list[ScenarioConfig]
     return configs
 
 
-def run_sweep(base: ScenarioConfig, grid: dict, seeds, collect_traces: bool = False):
-    """Run the grid; returns (rows, results). Failures leave results[i] None."""
+def run_sweep(base: ScenarioConfig, grid: dict, seeds):
+    """Run the grid without traces; returns (rows, results). Failures leave
+    results[i] None."""
     rows = []
     results = []
     for cfg in expand_grid(base, grid, seeds):
         try:
-            result = run_scenario(cfg, collect_traces=collect_traces)
+            result = run_scenario(cfg, collect_traces=False)
             rows.append(summary_row(result))
             results.append(result)
         except (SimulationError, ConfigError) as exc:

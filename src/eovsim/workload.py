@@ -38,8 +38,7 @@ class Transaction:
     __slots__ = (
         "tx_id", "client_id", "created_at",
         "endorser", "endorse_start", "endorse_end", "quorum_wait", "retries_used",
-        "holders", "disseminated_to", "ordered_at", "block_num", "block_pos",
-        "committed_at", "status", "drop_reason",
+        "holders", "disseminated_to", "block_num", "block_pos", "status", "drop_reason",
     )
 
     def __init__(self, tx_id: int, client_id: int, created_at: float):
@@ -53,10 +52,9 @@ class Transaction:
         self.retries_used = 0
         self.holders = 0  # bitmask of the peers holding the private data
         self.disseminated_to: tuple[int, ...] | None = None
-        self.ordered_at = -1.0
+        # ledger position; the block holds the order and commit times
         self.block_num = -1
         self.block_pos = -1
-        self.committed_at = -1.0
         self.status = TxStatus.CREATED
         self.drop_reason: str | None = None
 
@@ -123,8 +121,7 @@ class ArrivalSource:
         self.pool = InFlightPool()
         self.txs: list[Transaction] = []
         self._active_clients = 0
-        self.pending_pool: list[Transaction] = []  # pool mode backlog (FIFO)
-        self._pool_cursor = 0
+        self._pool_cursor = 0  # pool mode: txs[cursor:] are still unpulled
         # deterministic arrivals: exactly rate*duration per client, at k/rate
         # for k = 1..n
         self._per_client = int(round(workload_cfg.rate_per_client * workload_cfg.duration))
@@ -138,9 +135,7 @@ class ArrivalSource:
         cfg = self.cfg
         if cfg.arrival_process == "pool":
             for _ in range(cfg.pool_size):
-                tx = self._create(client_id=0, at=0.0)
-                self.pending_pool.append(tx)
-            self._active_clients = 0
+                self._create(client_id=0, at=0.0)
             return
         self._active_clients = cfg.num_clients
         streams = self.sim.streams
@@ -169,7 +164,7 @@ class ArrivalSource:
     def _arrive(self, client: int, emitted: int) -> None:
         tx = self._create(client, self.sim.kernel.now)
         self._schedule_next(client, emitted + 1)
-        self.sim.submit(tx)
+        self.sim.endorsement.submit(tx)
 
     def _create(self, client_id: int, at: float) -> Transaction:
         tx = Transaction(len(self.txs), client_id, at)
@@ -183,14 +178,14 @@ class ArrivalSource:
     # -- pool mode -----------------------------------------------------------
 
     def next_pooled(self) -> Transaction | None:
-        if self._pool_cursor >= len(self.pending_pool):
+        if self._pool_cursor >= len(self.txs):
             return None
-        tx = self.pending_pool[self._pool_cursor]
+        tx = self.txs[self._pool_cursor]
         self._pool_cursor += 1
         return tx
 
     def pool_exhausted(self) -> bool:
-        return self._pool_cursor >= len(self.pending_pool)
+        return self._pool_cursor >= len(self.txs)
 
     def exhausted(self) -> bool:
         if self.cfg.arrival_process == "pool":

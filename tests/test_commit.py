@@ -234,4 +234,5 @@ def test_height_equals_phase2_completions(small_cfg):
     sim = Simulation(small_cfg, collect_traces=False)
     sim.run()
     for peer, engine in zip(sim.peers, sim.engines):
-        assert peer.height == engine.committed == len(sim.orderer.blocks)
+        assert peer.height == len(sim.orderer.blocks)
+        assert peer.height == sum(1 for t in engine.timings if t.p2_end >= 0)

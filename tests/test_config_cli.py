@@ -458,6 +458,17 @@ def test_cli_negative_seed_in_config_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("lagger_mean", [0.0, -2.3])
+def test_cli_non_positive_baseline_mean_exit_2(tmp_path, capsys, lagger_mean):
+    # the boost divides by the lagger's baseline mean
+    cfg = preset("waiting-2peer")
+    cfg = replace(cfg, out_dir=str(tmp_path / "out"),
+                  waiting=replace(cfg.waiting, baseline_means=(2.3, lagger_mean)))
+    assert main(["run", str(_write_cfg(tmp_path, cfg))]) == 2
+    assert capsys.readouterr().err == "config error: waiting.baseline_means: must be positive\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_negative_seed_flag_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "preset:waiting-2peer", "--seed", "-1", "--out", str(out)]) == 2

@@ -160,14 +160,19 @@ def test_gap_never_grows_while_paused():
 
 
 def test_disabled_waiting_bit_identical_to_absent_policy():
-    from eovsim.metrics import summary_row
+    from eovsim.metrics import render_report, summary_row
     cfg = preset("waiting-2peer").with_seed(9)
     disabled = replace(cfg, waiting=replace(cfg.waiting, enabled=False))
     absent = replace(cfg, waiting=WaitingPolicy())
     ra = run_scenario(disabled, collect_traces=True)
     rb = run_scenario(absent, collect_traces=True)
     assert ra.counters == rb.counters
-    assert [tx.committed_at for tx in ra.tx_trace] == [tx.committed_at for tx in rb.tx_trace]
+    # every transaction's committed_at, rendered, and each block's first
+    # commit at full precision
+    assert (render_report(ra)["transactions.jsonl"]
+            == render_report(rb)["transactions.jsonl"])
+    assert ([b.first_commit_at for b, _ in ra.block_trace]
+            == [b.first_commit_at for b, _ in rb.block_trace])
     rows = [summary_row(ra), summary_row(rb)]
     for col in rows[0]:
         if col != "config_hash":  # the waiting block differs in the config

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -51,7 +53,10 @@ def test_time_ratio_balanced_and_rounding():
 def test_e2e_latency_simple():
     # the e2e stage is client submission to first-peer commit
     res = run_scenario(tiny_config(), collect_traces=True)
-    samples = [tx.committed_at - tx.created_at for tx in res.tx_trace if tx.committed_at >= 0]
+    first_commit = {b.block_num: b.first_commit_at for b, _ in res.block_trace}
+    first_commit[-1] = -1.0  # not ordered
+    samples = [first_commit[tx.block_num] - tx.created_at for tx in res.tx_trace
+               if first_commit[tx.block_num] >= 0]
     e2e = res.summaries["e2e"]
     c = res.counters
     assert e2e.count == len(samples) == c.committed_valid + c.committed_invalid_mvcc
@@ -151,3 +156,24 @@ def test_sweep_failed_row_has_error_and_empty_cells(monkeypatch):
         assert rows[i] == summary_row(alone)
         assert rows[i]["error"] == ""
         assert lines[i] == render_summary_csv([rows[i]]).splitlines()[1].split(",")
+
+
+def test_sweep_error_with_comma_reads_back_as_one_cell(monkeypatch):
+    from eovsim import run_sweep
+    from eovsim.commit import CommitEngine
+    orig = CommitEngine._on_p2_done
+
+    def skip_block_2(self, idx):
+        return orig(self, idx + 1 if idx == 2 else idx)
+
+    monkeypatch.setattr(CommitEngine, "_on_p2_done", skip_block_2)
+    rows, results = run_sweep(tiny_config(), {}, seeds=[1])
+    error = rows[0]["error"]
+    assert results == [None]
+    assert error.endswith("out-of-order phase 2 completion (block index 3, expected 2)")
+    rows.append({"status": "failed", "error": 'a "quoted",\nmulti-line\r\nerror'})
+    header, *lines = csv.reader(io.StringIO(render_summary_csv(rows), newline=""))
+    assert len(lines) == 2
+    for line, row in zip(lines, rows):
+        assert len(line) == len(header)
+        assert dict(zip(header, line))["error"] == row["error"]
