@@ -16,7 +16,6 @@ from .kernel import (
     SimKernel,
     SimulationError,
     SimulationIntegrityError,
-    StreamRegistry,
 )
 from .config import (
     BlockCutRule,
@@ -34,9 +33,9 @@ from .config import (
     load_config,
     loads_config,
 )
-from .commit import assign_validity, bench_commit, steady_state_tps
+from .commit import Peer, assign_validity, bench_commit, steady_state_tps
 from .coordination import WaitEvent, evaluate_wait
-from .endorsement import PeerState, eligible_endorsers, quorum_satisfied
+from .endorsement import eligible_endorsers, quorum_satisfied
 from .metrics import (
     LatencySummary,
     RunCounters,
@@ -51,15 +50,15 @@ from .sweep import run_sweep
 
 __all__ = [
     "__version__",
-    "DistributionSpec", "RngStream", "SimKernel", "StreamRegistry",
+    "DistributionSpec", "RngStream", "SimKernel",
     "SimulationError", "SchedulingError", "SimulationIntegrityError",
     "ScenarioConfig", "WorkloadConfig", "PeerGroupConfig", "DisseminationStrategy",
     "LeaderPolicy", "BlockCutRule", "CommitLatencyModel", "EndorseLatencyModel",
     "WaitingPolicy", "ConfigError", "load_config", "loads_config", "emit_config",
     "config_hash",
-    "steady_state_tps", "bench_commit", "assign_validity",
+    "Peer", "steady_state_tps", "bench_commit", "assign_validity",
     "WaitEvent", "evaluate_wait",
-    "PeerState", "eligible_endorsers", "quorum_satisfied",
+    "eligible_endorsers", "quorum_satisfied",
     "RunCounters", "LatencySummary", "ThroughputSummary",
     "success_ratio", "emit_report",
     "Simulation", "RunResult", "run_scenario",

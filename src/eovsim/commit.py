@@ -1,4 +1,5 @@
-"""Per-peer five-stage commit engine with serial and pipelined scheduling.
+"""Peers: endorsement slots plus a five-stage commit pipeline, serial or
+pipelined.
 
 Phase 1 is VSCC validation plus private-data fetch (local when the peer holds
 every transaction's private data at phase start, remote otherwise); phase 2
@@ -15,10 +16,13 @@ dependents pass vacuously.
 
 from __future__ import annotations
 
-from .kernel import EventKind, SimulationIntegrityError
+from collections import deque
+from types import SimpleNamespace
+
+from .kernel import EventKind, RngStream, SimKernel, SimulationIntegrityError
 from .workload import TxStatus
 
-__all__ = ["PhaseTiming", "CommitEngine", "steady_state_tps", "bench_commit",
+__all__ = ["PhaseTiming", "Peer", "steady_state_tps", "bench_commit",
            "assign_validity"]
 
 
@@ -51,43 +55,59 @@ def steady_state_tps(p1: float, p2: float, block_size: int, mode: str) -> float:
     raise ValueError(f"unknown commit mode {mode!r}")
 
 
-class CommitEngine:
-    """One peer's commit pipeline inside the shared kernel loop."""
+class Peer:
+    """One peer: its endorsement slots and its commit pipeline.
 
-    def __init__(self, sim, peer, model, mode: str):
+    EndorsementSystem fills busy and buffer. The pipeline reads blocks from
+    the orderer's ledger: len(timings) counts those delivered here, and
+    height, the phase-2 cursor, those committed. The waiting controller sets
+    paused and boost_factor.
+    """
+
+    __slots__ = (
+        "sim", "peer_id", "busy", "buffer", "commit_scale", "height",
+        "paused", "boost_factor", "model", "mode", "timings",
+        "p1_next", "p1_busy", "p2_busy",
+        "_vscc", "_fetch", "_mvcc", "_store", "_statedb",
+    )
+
+    def __init__(self, sim, peer_id: int, model, mode: str, commit_scale: float = 1.0):
         self.sim = sim
-        self.peer = peer
+        self.peer_id = peer_id
+        self.busy = 0
+        self.buffer: deque = deque()
+        self.commit_scale = commit_scale
+        self.height = 0
+        self.paused = False
+        self.boost_factor = 1.0
         self.model = model
         self.mode = mode
-        pid = peer.peer_id
-        self._vscc = sim.streams.stream(f"peer{pid}.vscc")
-        self._fetch = sim.streams.stream(f"peer{pid}.fetch")
-        self._mvcc = sim.streams.stream(f"peer{pid}.mvcc")
-        self._store = sim.streams.stream(f"peer{pid}.block_store")
-        self._statedb = sim.streams.stream(f"peer{pid}.statedb")
-        self.blocks = []            # delivered blocks, in order
+        self._vscc = sim.stream(f"peer{peer_id}.vscc")
+        self._fetch = sim.stream(f"peer{peer_id}.fetch")
+        self._mvcc = sim.stream(f"peer{peer_id}.mvcc")
+        self._store = sim.stream(f"peer{peer_id}.block_store")
+        self._statedb = sim.stream(f"peer{peer_id}.statedb")
         self.timings: list[PhaseTiming] = []
         self.p1_next = 0            # next block index to start phase 1
         self.p1_busy = False
         self.p2_busy = False
 
     def on_block_delivered(self, block) -> None:
-        self.blocks.append(block)
-        self.timings.append(PhaseTiming(block.block_num, self.peer.peer_id))
+        self.timings.append(PhaseTiming(block.block_num, self.peer_id))
         self._maybe_start_p1()
 
     def _factor(self) -> float:
-        return self.peer.commit_scale * self.peer.boost_factor
+        return self.commit_scale * self.boost_factor
 
     def _maybe_start_p1(self) -> None:
-        if self.p1_busy or self.p1_next >= len(self.blocks):
+        if self.p1_busy or self.p1_next >= len(self.timings):
             return
         idx = self.p1_next
-        if self.mode == "serial" and self.peer.height < idx:
+        if self.mode == "serial" and self.height < idx:
             return  # strict discipline: previous block must fully commit first
-        block = self.blocks[idx]
+        block = self.sim.orderer.blocks[idx]
         size = block.size
-        fetch_dist = (self.model.pvt_fetch_local if block.local_data[self.peer.peer_id]
+        fetch_dist = (self.model.pvt_fetch_local if block.local_data[self.peer_id]
                       else self.model.pvt_fetch_remote)
         dur = (self.model.vscc.sample(self._vscc, size) * self.model.vscc_core_scale
                + fetch_dist.sample(self._fetch, size)) * self._factor()
@@ -106,11 +126,10 @@ class CommitEngine:
         self._maybe_start_p2()
 
     def _maybe_start_p2(self) -> None:
-        # the peer's height is the phase-2 cursor: blocks commit in order
-        idx = self.peer.height
-        if self.p2_busy or idx >= self.p1_next or self.peer.paused:
+        idx = self.height
+        if self.p2_busy or idx >= self.p1_next or self.paused:
             return
-        block = self.blocks[idx]
+        block = self.sim.orderer.blocks[idx]
         size = block.size
         dur = (self.model.mvcc.sample(self._mvcc, size)
                + self.model.block_store.sample(self._store, size)
@@ -119,7 +138,7 @@ class CommitEngine:
         prev_end = self.timings[idx - 1].p2_end if idx else 0.0
         if now < prev_end - 1e-12:
             raise SimulationIntegrityError(
-                f"peer {self.peer.peer_id}: phase 2 of block {block.block_num} "
+                f"peer {self.peer_id}: phase 2 of block {block.block_num} "
                 f"would start at {now} before previous phase 2 ended at {prev_end}")
         self.p2_busy = True
         t = self.timings[idx]
@@ -129,14 +148,13 @@ class CommitEngine:
                                  lambda: self._on_p2_done(idx))
 
     def _on_p2_done(self, idx: int) -> None:
-        peer = self.peer
-        if idx != peer.height:
+        if idx != self.height:
             raise SimulationIntegrityError(
-                f"peer {peer.peer_id}: out-of-order phase 2 completion "
-                f"(block index {idx}, expected {peer.height})")
+                f"peer {self.peer_id}: out-of-order phase 2 completion "
+                f"(block index {idx}, expected {self.height})")
         self.p2_busy = False
-        peer.height += 1
-        self.sim.on_commit(peer, self.blocks[idx], self.timings[idx])
+        self.height += 1
+        self.sim.on_commit(self.sim.orderer.blocks[idx], self.timings[idx])
         self.kick()
 
     def kick(self) -> None:
@@ -178,24 +196,13 @@ def assign_validity(blocks, txs, parents) -> list:
 
 def bench_commit(p1_dist, p2_dist, block_size: int, mode: str, n_blocks: int,
                  seed: int = 1, warmup: int = 10):
-    """Drive one real commit engine with a saturated queue of blocks.
+    """Drive one real peer's commit pipeline with a saturated queue of blocks.
 
     All blocks are delivered at t=0; throughput is measured over blocks
     (warmup, n_blocks]. With constant stage distributions this matches
     steady_state_tps exactly.
     """
-    from .kernel import SimKernel, StreamRegistry
     from .config import CommitLatencyModel
-    from .endorsement import PeerState
-
-    class _StubSim:
-        def __init__(self):
-            self.kernel = SimKernel()
-            self.streams = StreamRegistry(seed)
-            self.commit_times = []
-
-        def on_commit(self, peer, block, timing):
-            self.commit_times.append(self.kernel.now)
 
     class _StubBlock:
         __slots__ = ("block_num", "size", "local_data")
@@ -205,21 +212,31 @@ def bench_commit(p1_dist, p2_dist, block_size: int, mode: str, n_blocks: int,
             self.size = block_size
             self.local_data = [True]
 
+    class _StubSim:
+        def __init__(self):
+            self.kernel = SimKernel()
+            self.orderer = SimpleNamespace(blocks=[_StubBlock(i + 1) for i in range(n_blocks)])
+            self.commit_times = []
+
+        def stream(self, label):
+            return RngStream(seed, label)
+
+        def on_commit(self, block, timing):
+            self.commit_times.append(self.kernel.now)
+
     if not 0 <= warmup < n_blocks:
         raise ValueError("need 0 <= warmup < n_blocks")
     sim = _StubSim()
-    model = CommitLatencyModel(vscc=p1_dist, mvcc=p2_dist)
-    peer = PeerState(0)
-    engine = CommitEngine(sim, peer, model, mode)
-    for i in range(n_blocks):
-        engine.on_block_delivered(_StubBlock(i + 1))
+    peer = Peer(sim, 0, CommitLatencyModel(vscc=p1_dist, mvcc=p2_dist), mode)
+    for block in sim.orderer.blocks:
+        peer.on_block_delivered(block)
     sim.kernel.run_until()
     if peer.height != n_blocks:
         raise SimulationIntegrityError("bench did not commit every block")
     t0 = sim.commit_times[warmup - 1] if warmup else 0.0
     elapsed = sim.commit_times[-1] - t0
     tps = (n_blocks - warmup) * block_size / elapsed
-    timings = engine.timings
+    timings = peer.timings
     p1_mean = sum(t.p1_duration for t in timings) / n_blocks
     p2_mean = sum(t.p2_duration for t in timings) / n_blocks
     return {"tps": tps, "p1_mean": p1_mean, "p2_mean": p2_mean,

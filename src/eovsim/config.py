@@ -364,7 +364,7 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         elif any(m <= 0 for m in wt.baseline_means):
             e.append("waiting.baseline_means: must be positive")
         elif wt.boosted_mean >= max(wt.baseline_means):
-            e.append("waiting.boosted_mean: must be below the lagger baseline mean")
+            e.append("waiting.boosted_mean: must be below the largest baseline mean")
         elif wt.boosted_mean <= 0:
             e.append("waiting.boosted_mean: must be > 0")
     return e

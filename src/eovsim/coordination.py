@@ -66,8 +66,6 @@ class WaitingController:
         self.boosted_peer = lagger
 
     def release_boost(self) -> None:
-        if self.boosted_peer is None:
-            return
         self.sim.peers[self.boosted_peer].boost_factor = 1.0
         self.boosted_peer = None
 
@@ -108,5 +106,5 @@ class WaitingController:
         self.events.append(WaitEvent(now, "boost_end", lead, lagger, gap))
         self.paused.clear()
         self.release_boost()
-        for engine in self.sim.engines:
-            engine.kick()
+        for peer in self.sim.peers:
+            peer.kick()

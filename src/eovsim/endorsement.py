@@ -10,31 +10,15 @@ misses its quorum is retried with fresh targets after the ack timeout.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
 from itertools import cycle
 from math import gcd
 
+from .commit import Peer
 from .kernel import EventKind, SimulationIntegrityError
 from .workload import Transaction, TxStatus
 
-__all__ = ["PeerState", "eligible_endorsers", "quorum_satisfied", "EndorsementSystem"]
-
-
-class PeerState:
-    __slots__ = (
-        "peer_id", "height", "busy", "buffer", "commit_scale",
-        "paused", "boost_factor",
-    )
-
-    def __init__(self, peer_id: int, commit_scale: float = 1.0):
-        self.peer_id = peer_id
-        self.height = 0
-        self.busy = 0
-        self.buffer: deque[Transaction] = deque()
-        self.commit_scale = commit_scale
-        self.paused = False
-        self.boost_factor = 1.0
+__all__ = ["eligible_endorsers", "quorum_satisfied", "EndorsementSystem"]
 
 
 def eligible_endorsers(policy, heights) -> list[int]:
@@ -106,7 +90,7 @@ def _rotation(peer_id: int, n_peers: int, m: int) -> list[tuple[tuple[int, ...],
 class EndorsementSystem:
     """All peers' endorsement state plus the shared router."""
 
-    def __init__(self, sim, peers: list[PeerState], leader_policy, strategy,
+    def __init__(self, sim, peers: list[Peer], leader_policy, strategy,
                  execute_dist, overhead_dist, ack_dist,
                  concurrency: int, buffer_cap: int):
         self.sim = sim
@@ -119,16 +103,16 @@ class EndorsementSystem:
         self.concurrency = concurrency
         self.buffer_cap = buffer_cap
         self._rr = 0
-        self._exec_streams = [sim.streams.stream(f"peer{p.peer_id}.endorse") for p in peers]
-        self._ack_streams = [sim.streams.stream(f"peer{p.peer_id}.ack") for p in peers]
-        self._ovh_streams = [sim.streams.stream(f"peer{p.peer_id}.overhead") for p in peers]
+        self._exec_streams = [sim.stream(f"peer{p.peer_id}.endorse") for p in peers]
+        self._ack_streams = [sim.stream(f"peer{p.peer_id}.ack") for p in peers]
+        self._ovh_streams = [sim.stream(f"peer{p.peer_id}.overhead") for p in peers]
         # each peer's next dissemination round, cycling through one period
         self._rotation = [cycle(_rotation(p.peer_id, len(peers), strategy.max_peer_count))
                           for p in peers]
 
     # -- routing ---------------------------------------------------------
 
-    def route_transaction(self, tx: Transaction) -> PeerState | None:
+    def route_transaction(self, tx: Transaction) -> Peer | None:
         """Pick the endorsing peer, or None when the transaction is dropped.
 
         The candidates are the simulation's eligible set for the current
@@ -160,15 +144,15 @@ class EndorsementSystem:
             return
         self.admit(peer, tx)
 
-    def admit(self, peer: PeerState, tx: Transaction) -> None:
+    def admit(self, peer: Peer, tx: Transaction) -> None:
+        """Start tx on a free slot of peer, or buffer it. Callers pick a peer
+        with room: submit through route_transaction, pool pulls while busy < C."""
         if peer.busy < self.concurrency:
             peer.busy += 1
             self._begin(peer, tx)
-        elif len(peer.buffer) < self.buffer_cap:
+        else:
             tx.status = TxStatus.BUFFERED
             peer.buffer.append(tx)
-        else:
-            self._drop(tx, "capacity")
 
     def _drop(self, tx: Transaction, reason: str) -> None:
         tx.status = TxStatus.DROPPED
@@ -177,7 +161,7 @@ class EndorsementSystem:
 
     # -- endorsement execution -------------------------------------------
 
-    def _begin(self, peer: PeerState, tx: Transaction) -> None:
+    def _begin(self, peer: Peer, tx: Transaction) -> None:
         kernel = self.sim.kernel
         now = kernel.now
         pid = peer.peer_id
@@ -200,7 +184,7 @@ class EndorsementSystem:
         kernel.schedule(now + total, EventKind.ENDORSE_DONE,
                         partial(self._complete, peer, tx, ok))
 
-    def disseminate(self, peer: PeerState):
+    def disseminate(self, peer: Peer):
         """Run dissemination rounds for one transaction.
 
         All per-target ack delays are sampled up front (they complete before
@@ -226,7 +210,7 @@ class EndorsementSystem:
             total_wait += strategy.ack_timeout
         return False, total_wait, (), 0, strategy.max_retries
 
-    def _complete(self, peer: PeerState, tx: Transaction, ok: bool) -> None:
+    def _complete(self, peer: Peer, tx: Transaction, ok: bool) -> None:
         tx.endorse_end = self.sim.kernel.now
         if ok:
             tx.status = TxStatus.ENDORSED

@@ -26,7 +26,6 @@ __all__ = [
     "DistributionSpec",
     "FAMILY_PARAMS",
     "RngStream",
-    "StreamRegistry",
 ]
 
 _SAMPLE_CHUNK = 4096
@@ -177,21 +176,6 @@ class RngStream:
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         return min(int(self.uniform() * n), n - 1)
-
-
-class StreamRegistry:
-    """Lazily creates one RngStream per consumer label."""
-
-    def __init__(self, master_seed: int):
-        self.master_seed = int(master_seed)
-        self._streams: dict[str, RngStream] = {}
-
-    def stream(self, label: str) -> RngStream:
-        s = self._streams.get(label)
-        if s is None:
-            s = RngStream(self.master_seed, label)
-            self._streams[label] = s
-        return s
 
 
 # The parameters each distribution family reads; scale and per_tx apply to all.

@@ -100,8 +100,6 @@ def fmt(x) -> str:
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
-        if x != x:
-            return "nan"
         return f"{x:.6g}"
     return str(x)
 

@@ -56,14 +56,9 @@ class Orderer:
             self.first_enqueued_at = now
             if self.rule.kind == "size_with_timeout":
                 self._timeout_handle = self.sim.kernel.schedule(
-                    now + self.rule.timeout, EventKind.BLOCK_CUT, self._on_timeout)
+                    now + self.rule.timeout, EventKind.BLOCK_CUT, self.cut_block)
         self.queue.append(tx)
         if self.rule.kind == "size_with_timeout" and len(self.queue) >= self.rule.block_size:
-            self.cut_block()
-
-    def _on_timeout(self) -> None:
-        self._timeout_handle = None
-        if self.queue:
             self.cut_block()
 
     def _schedule_dynamic(self) -> None:
@@ -80,25 +75,22 @@ class Orderer:
     # -- cutting -----------------------------------------------------------
 
     def cut_block(self) -> None:
-        """Cut the head of the queue, which every caller checks is non-empty,
-        into the next block."""
+        """Cut the whole queue, which is never empty here, into the next block.
+
+        The size rule cuts as soon as the queue reaches block_size, so no cut
+        leaves a remainder. Every cut cancels the armed timeout, so the
+        timeout fires only on a non-empty queue.
+        """
         if self._timeout_handle is not None:
             self._timeout_handle.cancel()
             self._timeout_handle = None
-        now = self.sim.kernel.now
-        if self.rule.kind == "size_with_timeout":
-            take = min(len(self.queue), self.rule.block_size)
-        else:
-            take = len(self.queue)
-        txs = self.queue[:take]
-        leftover = self.queue[take:]
-        block = Block(len(self.blocks) + 1, txs, self.first_enqueued_at, now)
+        txs = self.queue
+        block = Block(len(self.blocks) + 1, txs, self.first_enqueued_at, self.sim.kernel.now)
         self.blocks.append(block)
         for pos, tx in enumerate(txs):
             tx.block_num = block.block_num
             tx.block_pos = pos
-        self.queue = leftover
-        self.first_enqueued_at = now if leftover else -1.0
+        self.queue = []
         self._resolve_local_data(block)
         self.sim.on_block_cut(block)
 

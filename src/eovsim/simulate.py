@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import __version__ as _version
-from .commit import CommitEngine, assign_validity
+from .commit import Peer, assign_validity
 from .config import ScenarioConfig, config_hash
 from .coordination import WaitingController
-from .endorsement import EndorsementSystem, PeerState, eligible_endorsers
-from .kernel import EventKind, SimKernel, StreamRegistry
+from .endorsement import EndorsementSystem, eligible_endorsers
+from .kernel import EventKind, RngStream, SimKernel
 from .metrics import STAGES, LatencySummary, RunCounters, ThroughputSummary
 from .ordering import Orderer
 from .workload import ArrivalSource, TxStatus
@@ -45,11 +45,11 @@ class Simulation:
                  extra_dep_probs=()):
         self.config = config
         self.kernel = SimKernel()
-        self.streams = StreamRegistry(config.seed)
         self.collect_traces = config.emit_traces if collect_traces is None else collect_traces
 
         n = config.peers.count
-        self.peers = [PeerState(i, config.peers.scale_for(i)) for i in range(n)]
+        self.peers = [Peer(self, i, config.commit_model, config.commit_mode,
+                           config.peers.scale_for(i)) for i in range(n)]
         self.source = ArrivalSource(self, config.workload, extra_dep_probs)
         self.endorsement = EndorsementSystem(
             self, self.peers, config.leader, config.dissemination,
@@ -57,8 +57,6 @@ class Simulation:
             config.endorse_model.ack,
             config.peers.endorse_concurrency, config.peers.gateway_buffer)
         self.orderer = Orderer(self, config.cut_rule, n)
-        self.engines = [CommitEngine(self, p, config.commit_model, config.commit_mode)
-                        for p in self.peers]
         self.controller = WaitingController(self, config.waiting)
         self._pool_mode = config.workload.arrival_process == "pool"
 
@@ -70,6 +68,11 @@ class Simulation:
         # time-weighted eligibility: fraction of the run with >= 2 eligible
         self._elig_t = 0.0
         self._elig_acc = 0.0
+
+    def stream(self, label: str) -> RngStream:
+        """A new stream named label under the run's seed. Each consumer asks
+        once: a second call would replay the same draws."""
+        return RngStream(self.config.seed, label)
 
     # -- hooks from the subsystems ------------------------------------------
 
@@ -97,10 +100,10 @@ class Simulation:
             self._deliver(block)
 
     def _deliver(self, block) -> None:
-        for engine in self.engines:
-            engine.on_block_delivered(block)
+        for peer in self.peers:
+            peer.on_block_delivered(block)
 
-    def on_commit(self, peer, block, timing) -> None:
+    def on_commit(self, block, timing) -> None:
         now = self.kernel.now
         self._commits.append(timing)
         if block.first_commit_at < 0:
@@ -157,11 +160,7 @@ class Simulation:
 
         # committed blocks form a ledger prefix (every peer commits in order)
         blocks = self.orderer.blocks
-        committed_prefix = []
-        for b in blocks:
-            if b.first_commit_at < 0:
-                break
-            committed_prefix.append(b)
+        committed_prefix = blocks[:max(p.height for p in self.peers)]
         primary = self.config.workload.dependency_prob
         invalid_by_prob = {}
         for p, parents in self.source.parents.items():
@@ -186,14 +185,14 @@ class Simulation:
                     tx.drop_reason = "horizon"
                     counters.dropped += 1
                     counters.dropped_horizon += 1
-        counters.in_flight_at_horizon = (counters.endorsed - n_valid - n_invalid)
-        counters.check()
-
         # the orderer takes endorsed transactions FIFO, so the blocks followed
         # by its queue hold them in endorsement order; first commits happen in
-        # block order
+        # block order. Those past the committed prefix are in flight.
         endorsed = [tx for b in blocks for tx in b.txs]
         endorsed += self.orderer.queue
+        counters.in_flight_at_horizon = len(endorsed) - n_valid - n_invalid
+        counters.check()
+
         summaries = {}
         for label, samples in zip(STAGES, self._stage_samples(endorsed, committed_prefix)):
             summ = LatencySummary.from_samples(label, samples)
@@ -227,8 +226,7 @@ class Simulation:
         if self.collect_traces:
             tx_trace = txs
             tx_parents = self.source.parents[primary]
-            block_trace = [(b, [eng.timings[i] for eng in self.engines
-                                if i < len(eng.timings)])
+            block_trace = [(b, [p.timings[i] for p in self.peers if i < len(p.timings)])
                            for i, b in enumerate(blocks)]
 
         return RunResult(

@@ -128,7 +128,7 @@ class ArrivalSource:
         # float keys: the stream label is repr(p), and 1 must draw as 1.0 does
         probs = dict.fromkeys(float(p) for p in (workload_cfg.dependency_prob, *extra_probs))
         self.parents: dict[float, list[int | None]] = {p: [] for p in probs}
-        self._draws = [(p, sim.streams.stream(dependency_stream_label(p)), self.parents[p])
+        self._draws = [(p, sim.stream(dependency_stream_label(p)), self.parents[p])
                        for p in probs]
 
     def start(self) -> None:
@@ -138,8 +138,7 @@ class ArrivalSource:
                 self._create(client_id=0, at=0.0)
             return
         self._active_clients = cfg.num_clients
-        streams = self.sim.streams
-        self._gap_streams = [streams.stream(f"workload.arrivals.c{client}")
+        self._gap_streams = [self.sim.stream(f"workload.arrivals.c{client}")
                              for client in range(cfg.num_clients)]
         for client in range(cfg.num_clients):
             self._schedule_next(client, emitted=0)

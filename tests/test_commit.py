@@ -211,9 +211,9 @@ def test_pipeline_safety_phase2_intervals_disjoint():
 
 
 def test_out_of_order_phase2_raises_integrity_error():
-    from eovsim.commit import CommitEngine
+    from eovsim.commit import Peer
     bad = {"called": False}
-    orig = CommitEngine._on_p2_done
+    orig = Peer._on_p2_done
 
     def mutant(self, idx):
         if not bad["called"] and idx == 1:
@@ -221,18 +221,18 @@ def test_out_of_order_phase2_raises_integrity_error():
             return orig(self, idx + 1)
         return orig(self, idx)
 
-    CommitEngine._on_p2_done = mutant
+    Peer._on_p2_done = mutant
     try:
         with pytest.raises(SimulationIntegrityError):
             bench_commit(D.constant(1.0), D.constant(1.0), 10, "serial", 5, warmup=0)
     finally:
-        CommitEngine._on_p2_done = orig
+        Peer._on_p2_done = orig
 
 
 def test_height_equals_phase2_completions(small_cfg):
     from eovsim.simulate import Simulation
     sim = Simulation(small_cfg, collect_traces=False)
     sim.run()
-    for peer, engine in zip(sim.peers, sim.engines):
+    for peer in sim.peers:
         assert peer.height == len(sim.orderer.blocks)
-        assert peer.height == sum(1 for t in engine.timings if t.p2_end >= 0)
+        assert peer.height == sum(1 for t in peer.timings if t.p2_end >= 0)

@@ -328,13 +328,13 @@ def test_cli_missing_file_exit_2(tmp_path):
 
 
 def test_cli_integrity_failure_exit_3(tmp_path, monkeypatch):
-    from eovsim.commit import CommitEngine
-    orig = CommitEngine._on_p2_done
+    from eovsim.commit import Peer
+    orig = Peer._on_p2_done
 
     def mutant(self, idx):
         return orig(self, idx + 1 if idx == 0 else idx)
 
-    monkeypatch.setattr(CommitEngine, "_on_p2_done", mutant)
+    monkeypatch.setattr(Peer, "_on_p2_done", mutant)
     cfg = tiny_config(out_dir=str(tmp_path / "out"))
     assert main(["run", str(_write_cfg(tmp_path, cfg))]) == 3
 

@@ -173,10 +173,16 @@ def test_admit_slots_then_buffer_then_drop():
     for i in range(2, b + 1):
         es.admit(peer, Transaction(i, 0, 0.0))
     assert len(peer.buffer) == b
+    # routing only admits to a peer with room, so the overflow is dropped at
+    # submit once every peer is full
+    for other in es.peers[1:]:
+        other.busy = c
+        other.buffer.extend([None] * b)
     overflow = Transaction(b + 1, 0, 0.0)
-    es.admit(peer, overflow)
+    es.submit(overflow)
     assert overflow.status == TxStatus.DROPPED
     assert overflow.drop_reason == "capacity"
+    assert sim.counters.dropped_capacity == 1
 
 
 # -- endorse timing ----------------------------------------------------------------

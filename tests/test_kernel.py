@@ -3,8 +3,10 @@ import math
 import pytest
 
 from eovsim import DistributionSpec as D
-from eovsim import RngStream, SchedulingError, SimKernel, StreamRegistry
+from eovsim import RngStream, SchedulingError, SimKernel, Simulation
 from eovsim.kernel import EventKind
+
+from conftest import tiny_config
 
 
 def test_same_time_events_dispatch_in_insertion_order():
@@ -159,14 +161,16 @@ def test_different_labels_differ():
 
 
 def test_stream_independence_extra_draws_do_not_perturb():
-    reg1 = StreamRegistry(5)
-    reg2 = StreamRegistry(5)
-    # consume extra samples from stream X in reg2 only
-    reg2.stream("X").exponential(1.0)
+    sim1 = Simulation(tiny_config(seed=5))
+    sim2 = Simulation(tiny_config(seed=5))
+    # consume extra samples from stream X in sim2 only
+    x = sim2.stream("X")
+    x.exponential(1.0)
     for _ in range(50):
-        reg2.stream("X").uniform()
-    seq1 = [reg1.stream("Y").uniform() for _ in range(50)]
-    seq2 = [reg2.stream("Y").uniform() for _ in range(50)]
+        x.uniform()
+    y1, y2 = sim1.stream("Y"), sim2.stream("Y")
+    seq1 = [y1.uniform() for _ in range(50)]
+    seq2 = [y2.uniform() for _ in range(50)]
     assert seq1 == seq2
 
 

@@ -160,13 +160,13 @@ def test_sweep_failed_row_has_error_and_empty_cells(monkeypatch):
 
 def test_sweep_error_with_comma_reads_back_as_one_cell(monkeypatch):
     from eovsim import run_sweep
-    from eovsim.commit import CommitEngine
-    orig = CommitEngine._on_p2_done
+    from eovsim.commit import Peer
+    orig = Peer._on_p2_done
 
     def skip_block_2(self, idx):
         return orig(self, idx + 1 if idx == 2 else idx)
 
-    monkeypatch.setattr(CommitEngine, "_on_p2_done", skip_block_2)
+    monkeypatch.setattr(Peer, "_on_p2_done", skip_block_2)
     rows, results = run_sweep(tiny_config(), {}, seeds=[1])
     error = rows[0]["error"]
     assert results == [None]

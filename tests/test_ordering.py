@@ -1,7 +1,10 @@
 import math
 from dataclasses import replace
 
-from eovsim import BlockCutRule, DistributionSpec as D, run_scenario
+import pytest
+
+from eovsim import BlockCutRule, DistributionSpec as D, SimulationIntegrityError, run_scenario
+from eovsim.ordering import Orderer
 from eovsim.simulate import Simulation
 
 from conftest import tiny_config
@@ -106,3 +109,21 @@ def test_ordering_overhead_delays_delivery():
     res = run_scenario(cfg, collect_traces=True)
     block, timings = res.block_trace[0]
     assert all(t.p1_start >= block.cut_at + 0.2 for t in timings)
+
+
+def test_lost_endorsed_transaction_raises_integrity_error(monkeypatch):
+    # in-flight transactions are counted from the blocks and the queue, so
+    # one the orderer loses breaks endorsed == valid + invalid + in-flight
+    orig = Orderer.enqueue_endorsed
+    lost = []
+
+    def lossy(self, tx):
+        if lost:
+            orig(self, tx)
+        else:
+            lost.append(tx)
+
+    monkeypatch.setattr(Orderer, "enqueue_endorsed", lossy)
+    with pytest.raises(SimulationIntegrityError, match="conservation violated: endorsed"):
+        run_scenario(tiny_config(), collect_traces=False)
+    assert len(lost) == 1

@@ -215,8 +215,8 @@ def test_conservation_identities(cfg):
 def test_pipeline_safety_phase2_ordered_disjoint(cfg):
     sim = Simulation(cfg, collect_traces=False)
     sim.run()
-    for engine in sim.engines:
-        timings = [t for t in engine.timings if t.p2_end >= 0]
+    for peer in sim.peers:
+        timings = [t for t in peer.timings if t.p2_end >= 0]
         for a, b in zip(timings, timings[1:]):
             assert b.block_num == a.block_num + 1
             assert b.p2_start >= a.p2_end - 1e-12
@@ -288,8 +288,18 @@ def test_eligibility_soundness(cfg):
 @given(scenario())
 def test_block_local_data_matches_dissemination_trace(cfg):
     # a peer holds a block's private data iff it endorsed or received every
-    # transaction of the block
-    res = run_scenario(cfg, collect_traces=True)
+    # transaction of the block. Every cut takes the whole orderer queue, and
+    # the size rule cuts before the queue passes block_size.
+    on_block_cut = Simulation.on_block_cut
+
+    def checked_cut(sim, block):
+        on_block_cut(sim, block)
+        assert not sim.orderer.queue
+        if cfg.cut_rule.kind == "size_with_timeout":
+            assert block.size <= cfg.cut_rule.block_size
+
+    with patch.object(Simulation, "on_block_cut", checked_cut):
+        res = run_scenario(cfg, collect_traces=True)
     for block, _ in res.block_trace:
         for p in range(cfg.peers.count):
             assert block.local_data[p] == all(
