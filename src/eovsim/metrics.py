@@ -6,6 +6,7 @@ digits, no wall-clock timestamps anywhere.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -181,25 +182,36 @@ def _r6(x: float) -> float:
     return float(f"{x:.6g}")
 
 
-def _tx_trace_row(tx, parent, ordered_at: float, committed_at: float) -> dict:
-    return {
-        "tx_id": tx.tx_id,
-        "client": tx.client_id,
-        "created_at": _r6(tx.created_at),
-        "parent": parent,
-        "endorser": tx.endorser,
-        "endorse_start": _r6(tx.endorse_start),
-        "endorse_end": _r6(tx.endorse_end),
-        "quorum_wait": _r6(tx.quorum_wait),
-        "retries_used": tx.retries_used,
-        "disseminated_to": list(tx.disseminated_to) if tx.disseminated_to else [],
-        "ordered_at": ordered_at,
-        "block_num": tx.block_num,
-        "block_pos": tx.block_pos,
-        "committed_at": committed_at,
-        "status": tx.status,
-        "drop_reason": tx.drop_reason,
-    }
+@functools.cache
+def _json(value) -> str:
+    """The JSON text of a status, drop reason, endorser or tuple of peers."""
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _f6(x: float) -> str:
+    """The JSON text of _r6(x), exactly as json.dumps spells it."""
+    text = f"{x:.6g}"
+    if "." in text and "e" not in text:
+        return text  # a non-integer in fixed notation is already its own repr
+    return repr(float(text)) if text[-1].isdigit() else json.dumps(float(text))  # nan, inf
+
+
+def _tx_lines(result):
+    """transactions.jsonl: a precomputed row template, keys in sorted order."""
+    # a transaction's order and commit times are its block's cut_at and
+    # first_commit_at; stamps[n] is block n's, stamps[0] is no block's (-1)
+    stamps = [("-1.0", "-1.0")]
+    stamps += [(_f6(b.cut_at), _f6(b.first_commit_at)) for b, _ in result.block_trace]
+    for tx, parent in zip(result.tx_trace, result.tx_parents):
+        ordered_at, committed_at = stamps[max(tx.block_num, 0)]
+        yield (f'{{"block_num":{tx.block_num},"block_pos":{tx.block_pos},"client":{tx.client_id},'
+               f'"committed_at":{committed_at},"created_at":{_f6(tx.created_at)},'
+               f'"disseminated_to":{_json(tx.disseminated_to or ())},'
+               f'"drop_reason":{_json(tx.drop_reason)},"endorse_end":{_f6(tx.endorse_end)},'
+               f'"endorse_start":{_f6(tx.endorse_start)},"endorser":{_json(tx.endorser)},'
+               f'"ordered_at":{ordered_at},"parent":{"null" if parent is None else parent},'
+               f'"quorum_wait":{_f6(tx.quorum_wait)},"retries_used":{tx.retries_used},'
+               f'"status":{_json(tx.status)},"tx_id":{tx.tx_id}}}\n')
 
 
 def _block_trace_row(block, timings) -> dict:
@@ -218,40 +230,34 @@ def _block_trace_row(block, timings) -> dict:
     }
 
 
-def _jsonl(rows) -> str:
+def _jsonl(rows):
     # floats arrive rounded to 6 significant digits; sort_keys orders the
     # nested per-peer keys too
-    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-                   for r in rows)
+    return (json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in rows)
+
+
+def _report_files(result):
+    """(name, lines) for each report file; render_report joins the lines and
+    emit_report streams them to disk."""
+    yield "summary.csv", (render_summary_csv([summary_row(result)]),)
+    yield "manifest.json", (json.dumps({
+        "config_hash": result.config_hash,
+        "seed": result.config.seed,
+        "tool": "eovsim",
+        "version": result.version,
+    }, sort_keys=True, indent=2) + "\n",)
+    if result.tx_trace is not None:
+        yield "transactions.jsonl", _tx_lines(result)
+        yield "blocks.jsonl", _jsonl(_block_trace_row(b, ts) for b, ts in result.block_trace)
+    if result.config.waiting.enabled:
+        yield "wait_events.jsonl", _jsonl(
+            {"at": _r6(e.at), "kind": e.kind, "leader": e.leader,
+             "lagger": e.lagger, "gap": e.gap} for e in result.wait_events)
 
 
 def render_report(result) -> dict:
     """All report files as {name: text}, exactly as emit_report writes them."""
-    files = {
-        "summary.csv": render_summary_csv([summary_row(result)]),
-        "manifest.json": json.dumps({
-            "config_hash": result.config_hash,
-            "seed": result.config.seed,
-            "tool": "eovsim",
-            "version": result.version,
-        }, sort_keys=True, indent=2) + "\n",
-    }
-    if result.tx_trace is not None:
-        # a transaction's order and commit times are its block's cut_at and
-        # first_commit_at, rounded once per block; stamps[n] is block n's, and
-        # stamps[0] stands for no block (block_num -1)
-        stamps = [(-1.0, -1.0)]
-        stamps += [(_r6(b.cut_at), _r6(b.first_commit_at)) for b, _ in result.block_trace]
-        files["transactions.jsonl"] = _jsonl(
-            _tx_trace_row(tx, parent, *stamps[max(tx.block_num, 0)])
-            for tx, parent in zip(result.tx_trace, result.tx_parents))
-        files["blocks.jsonl"] = _jsonl(
-            _block_trace_row(b, ts) for b, ts in result.block_trace)
-    if result.config.waiting.enabled:
-        rows = [{"at": _r6(e.at), "kind": e.kind, "leader": e.leader,
-                 "lagger": e.lagger, "gap": e.gap} for e in result.wait_events]
-        files["wait_events.jsonl"] = _jsonl(rows)
-    return files
+    return {name: "".join(lines) for name, lines in _report_files(result)}
 
 
 def emit_report(result, out_dir) -> list[Path]:
@@ -262,8 +268,9 @@ def emit_report(result, out_dir) -> list[Path]:
     except OSError as exc:
         raise OSError(f"cannot create report directory {out}: {exc}") from exc
     written = []
-    for name, text in render_report(result).items():
+    for name, lines in _report_files(result):
         path = out / name
-        path.write_text(text, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as f:
+            f.writelines(lines)
         written.append(path)
     return written

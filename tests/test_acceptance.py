@@ -9,6 +9,7 @@ import statistics
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from eovsim import DistributionSpec as D
 from eovsim import bench_commit, run_scenario, success_ratio
@@ -118,14 +119,22 @@ def test_criterion_4_block_size_heavy_load():
 
 # -- 5. leader selection ----------------------------------------------------------
 
-def test_criterion_5_leader_selection():
+LEADER_PROBS = (0.2, 0.4, 0.6, 0.8, 1.0)
+
+
+@pytest.fixture(scope="module")
+def leader_runs():
+    """The leader-250x300 run of each policy, shared by criterion 5 and the
+    simulator-cells pin."""
     cfg0 = preset("leader-250x300")
-    probs = (0.2, 0.4, 0.6, 0.8, 1.0)
-    stats = {}
-    for kind in ("max_ht", "soft_max_ht", "ranked_list", "all"):
-        cfg = replace(cfg0, leader=replace(cfg0.leader, kind=kind))
-        res = run_scenario(cfg, collect_traces=False, extra_dep_probs=probs)
-        stats[kind] = res
+    return {kind: run_scenario(replace(cfg0, leader=replace(cfg0.leader, kind=kind)),
+                               collect_traces=False, extra_dep_probs=LEADER_PROBS)
+            for kind in ("max_ht", "soft_max_ht", "ranked_list", "all")}
+
+
+def test_criterion_5_leader_selection(leader_runs):
+    probs = LEADER_PROBS
+    stats = leader_runs
     ok = all(r.counters.created == 375_000 for r in stats.values())
     drops = {k: r.counters.dropped for k, r in stats.items()}
     ok &= drops["ranked_list"] == 0 and drops["all"] == 0
@@ -190,6 +199,32 @@ def test_criterion_6_success_ratio_regression():
         assert abs(got - expected) < 0.005, (policy, p, got, expected)
     _report("criterion-6 success-ratio-regression (24 cells exact to 2 decimals)",
             True, f"worst |error| {worst:.4f} points over {len(TABLE_COUNTS)} cells")
+
+
+# The simulator's own cells from the leader_runs fixture, pinned exactly:
+# policy -> (endorsed, invalid at p = 0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+SIM_CELLS = {
+    "max_ht": (250_520, (0, 7_178, 14_469, 21_693, 28_911, 36_085)),
+    "soft_max_ht": (299_703, (0, 11_587, 22_740, 34_276, 45_421, 56_805)),
+    "ranked_list": (375_000, (0, 15_687, 31_499, 47_193, 63_027, 78_407)),
+    "all": (375_000, (0, 17_877, 35_665, 53_969, 72_236, 89_733)),
+}
+
+
+def test_leader_selection_simulator_cells(leader_runs):
+    # a regression pin on the program's own output; the simulator does not
+    # reproduce TABLE_COUNTS, and the detail shows by how much
+    got, want, details = {}, {}, []
+    for policy, (endorsed, invalids) in SIM_CELLS.items():
+        res = leader_runs[policy]
+        for p, invalid in zip((0.0,) + LEADER_PROBS, invalids):
+            cell = got[policy, p] = (res.counters.endorsed, res.invalid_by_prob[p])
+            want[policy, p] = (endorsed, invalid)
+            paper_endorsed, _, paper_invalid, _ = TABLE_COUNTS[policy, p]
+            details.append(f"{policy}@{p} endorsed {cell[0]} ({cell[0] - paper_endorsed:+} "
+                           f"vs paper) invalid {cell[1]} ({cell[1] - paper_invalid:+})")
+    _report("leader-selection simulator cells (24 cells pinned exactly; deviation "
+            "from the paper's table shown)", got == want, "; ".join(details))
 
 
 # -- 7. strategic waiting -------------------------------------------------------------

@@ -1,15 +1,20 @@
 import csv
 import io
+import json
 import math
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from eovsim import DisseminationStrategy, LeaderPolicy, PeerGroupConfig, WaitingPolicy
 from eovsim import DistributionSpec as D
 from eovsim import LatencySummary, bench_commit, emit_report, run_scenario, success_ratio
 from eovsim.kernel import SimulationIntegrityError
-from eovsim.metrics import fmt, render_summary_csv, summary_row
+from eovsim.metrics import _f6, _json, fmt, render_report, render_summary_csv, summary_row
 from eovsim.presets import TABLE_PHASE_CONSTANTS
+from eovsim.workload import TxStatus
 
 from conftest import tiny_config
 
@@ -81,6 +86,87 @@ def test_fmt_six_significant_digits():
     assert fmt(True) == "true"
 
 
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.floats())
+@example(-1.0)
+@example(0.0)
+@example(-0.0)
+@example(1e-05)
+@example(1e+16)
+@example(123456.0)
+@example(1234567.0)
+@example(-250.0)
+@example(3.0e9)
+@example(5e-324)
+@example(sys.float_info.min / 3)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+def test_float_cell_is_json_of_six_digit_rounding(x):
+    # non-finite values take json's spelling (NaN, Infinity), not repr's
+    assert _f6(x) == json.dumps(float(f"{x:.6g}"))
+
+
+def test_string_and_null_cells_are_json():
+    statuses = [v for k, v in vars(TxStatus).items() if k.isupper()]
+    assert len(statuses) == 7
+    for value in statuses + ["capacity", "quorum", "horizon", None,
+                             'a "quoted"\\ \u00e9\n', 2, (0, 3), ()]:
+        assert _json(value) == json.dumps(value, separators=(",", ":"))
+
+
+TX_KEYS = ["block_num", "block_pos", "client", "committed_at", "created_at",
+           "disseminated_to", "drop_reason", "endorse_end", "endorse_start", "endorser",
+           "ordered_at", "parent", "quorum_wait", "retries_used", "status", "tx_id"]
+
+
+def _eventful_config():
+    """Capacity drops, quorum drops after retries, no-parent and no-endorser
+    rows, invalidations and wait events, in 200 transactions."""
+    base = tiny_config()
+    return replace(
+        base,
+        workload=replace(base.workload, rate_per_client=100.0, dependency_prob=0.3),
+        peers=PeerGroupConfig(count=3, commit_scales=(1.0, 1.4, 1.8),
+                              gateway_buffer=5, endorse_concurrency=2),
+        dissemination=DisseminationStrategy(2, 2, False, ack_timeout=0.05, max_retries=2),
+        leader=LeaderPolicy("max_ht", tau=1),
+        endorse_model=replace(base.endorse_model, ack=D.exponential(0.025)),
+        commit_model=replace(base.commit_model, vscc=D.constant(0.12)),
+        waiting=WaitingPolicy(enabled=True, tau=1, ceiling=4, boosted_mean=0.6,
+                              baseline_means=(1.0, 1.4, 1.8)),
+    )
+
+
+def test_trace_lines_are_canonical_json():
+    res = run_scenario(_eventful_config(), collect_traces=True)
+    c = res.counters
+    txs = res.tx_trace
+    assert c.dropped_capacity and c.dropped_quorum and c.committed_invalid_mvcc
+    assert any(tx.retries_used for tx in txs) and res.wait_events
+    assert None in res.tx_parents and any(tx.endorser is None for tx in txs)
+    files = render_report(res)
+    assert {"transactions.jsonl", "blocks.jsonl", "wait_events.jsonl"} <= set(files)
+    for name in ("transactions.jsonl", "blocks.jsonl", "wait_events.jsonl"):
+        lines = files[name].splitlines()
+        assert lines, name
+        for line in lines:
+            row = json.loads(line)
+            assert json.dumps(row, sort_keys=True, separators=(",", ":")) == line
+            if name == "transactions.jsonl":
+                assert list(row) == TX_KEYS
+    assert files["transactions.jsonl"].count("\n") == len(txs)
+
+
+def test_emit_report_writes_render_report_bytes(tmp_path):
+    res = run_scenario(_eventful_config(), collect_traces=True)
+    files = render_report(res)
+    paths = emit_report(res, tmp_path)
+    assert [p.name for p in paths] == list(files)
+    for path in paths:
+        assert path.read_bytes() == files[path.name].encode("utf-8"), path.name
+
+
 def test_reports_byte_identical_across_runs(tmp_path):
     cfg = tiny_config()
     for sub in ("a", "b"):
@@ -102,7 +188,7 @@ def test_empty_run_zero_counts_no_trace_rows(tmp_path):
     assert res.counters.created == 0
     paths = emit_report(res, tmp_path)
     tx_rows = (tmp_path / "transactions.jsonl").read_text()
-    assert tx_rows == ""
+    assert tx_rows == "" == render_report(res)["transactions.jsonl"]
     summary = (tmp_path / "summary.csv").read_text().splitlines()
     assert len(summary) == 2
 
