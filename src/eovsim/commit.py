@@ -56,32 +56,38 @@ def steady_state_tps(p1: float, p2: float, block_size: int, mode: str) -> float:
 
 
 class Peer:
-    """One peer: its endorsement slots and its commit pipeline.
+    """One peer: its endorsement slots, its commit pipeline and its streams.
 
-    EndorsementSystem fills busy and buffer. The pipeline reads blocks from
-    the orderer's ledger: len(timings) counts those delivered here, and
-    height, the phase-2 cursor, those committed. The waiting controller sets
-    paused and boost_factor.
+    EndorsementSystem fills busy and buffer and draws from the endorse,
+    overhead and ack streams. The pipeline reads blocks from the orderer's
+    ledger: len(timings) counts those delivered here, and height, the
+    phase-2 cursor, those committed. The waiting controller sets paused and
+    boost_factor.
     """
 
     __slots__ = (
         "sim", "peer_id", "busy", "buffer", "commit_scale", "height",
         "paused", "boost_factor", "model", "mode", "timings",
         "p1_next", "p1_busy", "p2_busy",
+        "endorse_stream", "overhead_stream", "ack_stream",
         "_vscc", "_fetch", "_mvcc", "_store", "_statedb",
     )
 
-    def __init__(self, sim, peer_id: int, model, mode: str, commit_scale: float = 1.0):
+    def __init__(self, sim, peer_id: int):
+        config = sim.config
         self.sim = sim
         self.peer_id = peer_id
         self.busy = 0
         self.buffer: deque = deque()
-        self.commit_scale = commit_scale
+        self.commit_scale = config.peers.scale_for(peer_id)
         self.height = 0
         self.paused = False
         self.boost_factor = 1.0
-        self.model = model
-        self.mode = mode
+        self.model = config.commit_model
+        self.mode = config.commit_mode
+        self.endorse_stream = sim.stream(f"peer{peer_id}.endorse")
+        self.overhead_stream = sim.stream(f"peer{peer_id}.overhead")
+        self.ack_stream = sim.stream(f"peer{peer_id}.ack")
         self._vscc = sim.stream(f"peer{peer_id}.vscc")
         self._fetch = sim.stream(f"peer{peer_id}.fetch")
         self._mvcc = sim.stream(f"peer{peer_id}.mvcc")
@@ -202,7 +208,7 @@ def bench_commit(p1_dist, p2_dist, block_size: int, mode: str, n_blocks: int,
     (warmup, n_blocks]. With constant stage distributions this matches
     steady_state_tps exactly.
     """
-    from .config import CommitLatencyModel
+    from .config import CommitLatencyModel, ScenarioConfig
 
     class _StubBlock:
         __slots__ = ("block_num", "size", "local_data")
@@ -214,6 +220,8 @@ def bench_commit(p1_dist, p2_dist, block_size: int, mode: str, n_blocks: int,
 
     class _StubSim:
         def __init__(self):
+            self.config = ScenarioConfig(
+                commit_model=CommitLatencyModel(vscc=p1_dist, mvcc=p2_dist), commit_mode=mode)
             self.kernel = SimKernel()
             self.orderer = SimpleNamespace(blocks=[_StubBlock(i + 1) for i in range(n_blocks)])
             self.commit_times = []
@@ -227,7 +235,7 @@ def bench_commit(p1_dist, p2_dist, block_size: int, mode: str, n_blocks: int,
     if not 0 <= warmup < n_blocks:
         raise ValueError("need 0 <= warmup < n_blocks")
     sim = _StubSim()
-    peer = Peer(sim, 0, CommitLatencyModel(vscc=p1_dist, mvcc=p2_dist), mode)
+    peer = Peer(sim, 0)
     for block in sim.orderer.blocks:
         peer.on_block_delivered(block)
     sim.kernel.run_until()

@@ -49,42 +49,45 @@ def evaluate_wait(heights, policy):
 
 
 class WaitingController:
-    def __init__(self, sim, policy):
+    """Applies the waiting policy at every commit event. The pause and boost
+    state lives on the peers (Peer.paused and Peer.boost_factor); the
+    controller keeps only the event log."""
+
+    def __init__(self, sim):
         self.sim = sim
-        self.policy = policy
-        self.paused: set[int] = set()
-        self.boosted_peer: int | None = None
+        self.policy = sim.config.waiting
         self.events: list[WaitEvent] = []
 
     # -- boost bookkeeping --------------------------------------------------
 
     def apply_boost(self, lagger: int) -> None:
-        if not self.paused:
+        peers = self.sim.peers
+        if not any(p.paused for p in peers):
             raise SimulationIntegrityError("boost applied while no leader is paused")
-        peer = self.sim.peers[lagger]
-        peer.boost_factor = self.policy.boosted_mean / self.policy.baseline_means[lagger]
-        self.boosted_peer = lagger
+        peers[lagger].boost_factor = self.policy.boosted_mean / self.policy.baseline_means[lagger]
 
     def release_boost(self) -> None:
-        self.sim.peers[self.boosted_peer].boost_factor = 1.0
-        self.boosted_peer = None
+        for peer in self.sim.peers:
+            peer.boost_factor = 1.0
 
     # -- main hook ------------------------------------------------------------
 
     def on_commit_event(self) -> None:
         if not self.policy.enabled:
             return
-        heights = [p.height for p in self.sim.peers]
+        peers = self.sim.peers
+        heights = [p.height for p in peers]
         action, leaders, lagger, gap = evaluate_wait(heights, self.policy)
         now = self.sim.kernel.now
-        if self.paused:
+        paused = [p.peer_id for p in peers if p.paused]
+        if paused:
             if action == "none":
-                self._release(now, lagger, gap)
+                self._release(paused, now, lagger, gap)
             else:
                 # a mid peer that caught up to the max must pause as well,
                 # otherwise it could push the max (and the gap) back up
                 for i in leaders:
-                    if i not in self.paused:
+                    if not peers[i].paused:
                         self._pause_peer(i, now, lagger, gap)
             return
         if action == "pause":
@@ -95,16 +98,15 @@ class WaitingController:
 
     def _pause_peer(self, i: int, now: float, lagger: int, gap: int) -> None:
         self.sim.peers[i].paused = True
-        self.paused.add(i)
         self.events.append(WaitEvent(now, "pause_start", i, lagger, gap))
 
-    def _release(self, now: float, lagger: int, gap: int) -> None:
-        lead = min(self.paused)
-        for i in sorted(self.paused):
-            self.sim.peers[i].paused = False
+    def _release(self, paused: list[int], now: float, lagger: int, gap: int) -> None:
+        """Resume the paused peers, in id order, and end the boost."""
+        peers = self.sim.peers
+        for i in paused:
+            peers[i].paused = False
             self.events.append(WaitEvent(now, "pause_end", i, lagger, gap))
-        self.events.append(WaitEvent(now, "boost_end", lead, lagger, gap))
-        self.paused.clear()
+        self.events.append(WaitEvent(now, "boost_end", paused[0], lagger, gap))
         self.release_boost()
-        for peer in self.sim.peers:
+        for peer in peers:
             peer.kick()

@@ -90,22 +90,18 @@ def _rotation(peer_id: int, n_peers: int, m: int) -> list[tuple[tuple[int, ...],
 class EndorsementSystem:
     """All peers' endorsement state plus the shared router."""
 
-    def __init__(self, sim, peers: list[Peer], leader_policy, strategy,
-                 execute_dist, overhead_dist, ack_dist,
-                 concurrency: int, buffer_cap: int):
+    def __init__(self, sim):
+        config = sim.config
         self.sim = sim
-        self.peers = peers
-        self.policy = leader_policy
-        self.strategy = strategy
-        self.execute_dist = execute_dist
-        self.overhead_dist = overhead_dist
-        self.ack_dist = ack_dist
-        self.concurrency = concurrency
-        self.buffer_cap = buffer_cap
+        self.peers = peers = sim.peers
+        self.policy = config.leader
+        self.strategy = strategy = config.dissemination
+        self.execute_dist = config.endorse_model.execute
+        self.overhead_dist = config.endorse_model.overhead
+        self.ack_dist = config.endorse_model.ack
+        self.concurrency = config.peers.endorse_concurrency
+        self.buffer_cap = config.peers.gateway_buffer
         self._rr = 0
-        self._exec_streams = [sim.stream(f"peer{p.peer_id}.endorse") for p in peers]
-        self._ack_streams = [sim.stream(f"peer{p.peer_id}.ack") for p in peers]
-        self._ovh_streams = [sim.stream(f"peer{p.peer_id}.overhead") for p in peers]
         # each peer's next dissemination round, cycling through one period
         self._rotation = [cycle(_rotation(p.peer_id, len(peers), strategy.max_peer_count))
                           for p in peers]
@@ -151,25 +147,30 @@ class EndorsementSystem:
             peer.busy += 1
             self._begin(peer, tx)
         else:
-            tx.status = TxStatus.BUFFERED
             peer.buffer.append(tx)
 
     def _drop(self, tx: Transaction, reason: str) -> None:
+        """Drop tx for reason, capacity or quorum: count it and take it out
+        of the dependency candidates."""
         tx.status = TxStatus.DROPPED
         tx.drop_reason = reason
-        self.sim.on_dropped(tx)
+        counters = self.sim.counters
+        counters.dropped += 1
+        if reason == "capacity":
+            counters.dropped_capacity += 1
+        else:
+            counters.dropped_quorum += 1
+        self.sim.source.pool.discard(tx.tx_id)
 
     # -- endorsement execution -------------------------------------------
 
     def _begin(self, peer: Peer, tx: Transaction) -> None:
         kernel = self.sim.kernel
         now = kernel.now
-        pid = peer.peer_id
-        tx.status = TxStatus.EXECUTING
-        tx.endorser = pid
+        tx.endorser = peer.peer_id
         tx.endorse_start = now
-        execute = self.execute_dist.sample(self._exec_streams[pid])
-        overhead = self.overhead_dist.sample(self._ovh_streams[pid])
+        execute = self.execute_dist.sample(peer.endorse_stream)
+        overhead = self.overhead_dist.sample(peer.overhead_stream)
         ok, quorum_wait, targets, holders, retries = self.disseminate(peer)
         tx.quorum_wait = quorum_wait
         tx.retries_used = retries
@@ -199,7 +200,7 @@ class EndorsementSystem:
         m = strategy.max_peer_count
         rotation = self._rotation[peer.peer_id]
         sample = self.ack_dist.sample
-        ack_stream = self._ack_streams[peer.peer_id]
+        ack_stream = peer.ack_stream
         total_wait = 0.0
         for attempt in range(strategy.max_retries + 1):
             targets, designated, holders = next(rotation)
@@ -211,10 +212,12 @@ class EndorsementSystem:
         return False, total_wait, (), 0, strategy.max_retries
 
     def _complete(self, peer: Peer, tx: Transaction, ok: bool) -> None:
-        tx.endorse_end = self.sim.kernel.now
+        sim = self.sim
+        tx.endorse_end = sim.kernel.now
         if ok:
             tx.status = TxStatus.ENDORSED
-            self.sim.on_endorsed(tx)
+            sim.counters.endorsed += 1
+            sim.orderer.enqueue_endorsed(tx)
         else:
             self._drop(tx, "quorum")
         if peer.buffer:
@@ -222,7 +225,7 @@ class EndorsementSystem:
             self._begin(peer, nxt)
         else:
             peer.busy -= 1
-            self.sim.pull_pooled()
+            sim.source.pull()
         if peer.busy + len(peer.buffer) > self.concurrency + self.buffer_cap:
             raise SimulationIntegrityError(
                 f"peer {peer.peer_id}: {peer.busy} busy + {len(peer.buffer)} buffered "

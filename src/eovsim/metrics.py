@@ -178,10 +178,6 @@ def render_summary_csv(rows) -> str:
         ",".join(_cell(fmt(row.get(col, ""))) for col, _ in _SUMMARY) + "\n" for row in rows)
 
 
-def _r6(x: float) -> float:
-    return float(f"{x:.6g}")
-
-
 @functools.cache
 def _json(value) -> str:
     """The JSON text of a status, drop reason, endorser or tuple of peers."""
@@ -189,7 +185,8 @@ def _json(value) -> str:
 
 
 def _f6(x: float) -> str:
-    """The JSON text of _r6(x), exactly as json.dumps spells it."""
+    """The JSON text of x rounded to 6 significant digits, exactly as
+    json.dumps spells float(f"{x:.6g}")."""
     text = f"{x:.6g}"
     if "." in text and "e" not in text:
         return text  # a non-integer in fixed notation is already its own repr
@@ -214,26 +211,25 @@ def _tx_lines(result):
                f'"status":{_json(tx.status)},"tx_id":{tx.tx_id}}}\n')
 
 
-def _block_trace_row(block, timings) -> dict:
-    return {
-        "block_num": block.block_num,
-        "size": block.size,
-        "first_enqueued_at": _r6(block.first_enqueued_at),
-        "cut_at": _r6(block.cut_at),
-        "creation_time": _r6(block.creation_time),
-        "first_commit_at": _r6(block.first_commit_at),
-        "peers": {
-            str(t.peer_id): {"p1_start": _r6(t.p1_start), "p1_end": _r6(t.p1_end),
-                             "p2_start": _r6(t.p2_start), "p2_end": _r6(t.p2_end)}
-            for t in timings
-        },
-    }
+def _block_lines(result):
+    """blocks.jsonl: keys in sorted order, the peers keyed by their id as a
+    string, so in string order ("10" before "2")."""
+    for b, timings in result.block_trace:
+        peers = ",".join(
+            f'"{t.peer_id}":{{"p1_end":{_f6(t.p1_end)},"p1_start":{_f6(t.p1_start)},'
+            f'"p2_end":{_f6(t.p2_end)},"p2_start":{_f6(t.p2_start)}}}'
+            for t in sorted(timings, key=lambda t: str(t.peer_id)))
+        yield (f'{{"block_num":{b.block_num},"creation_time":{_f6(b.creation_time)},'
+               f'"cut_at":{_f6(b.cut_at)},"first_commit_at":{_f6(b.first_commit_at)},'
+               f'"first_enqueued_at":{_f6(b.first_enqueued_at)},"peers":{{{peers}}},'
+               f'"size":{b.size}}}\n')
 
 
-def _jsonl(rows):
-    # floats arrive rounded to 6 significant digits; sort_keys orders the
-    # nested per-peer keys too
-    return (json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in rows)
+def _wait_lines(result):
+    """wait_events.jsonl: keys in sorted order."""
+    for e in result.wait_events:
+        yield (f'{{"at":{_f6(e.at)},"gap":{e.gap},"kind":{_json(e.kind)},'
+               f'"lagger":{e.lagger},"leader":{e.leader}}}\n')
 
 
 def _report_files(result):
@@ -248,11 +244,9 @@ def _report_files(result):
     }, sort_keys=True, indent=2) + "\n",)
     if result.tx_trace is not None:
         yield "transactions.jsonl", _tx_lines(result)
-        yield "blocks.jsonl", _jsonl(_block_trace_row(b, ts) for b, ts in result.block_trace)
+        yield "blocks.jsonl", _block_lines(result)
     if result.config.waiting.enabled:
-        yield "wait_events.jsonl", _jsonl(
-            {"at": _r6(e.at), "kind": e.kind, "leader": e.leader,
-             "lagger": e.lagger, "gap": e.gap} for e in result.wait_events)
+        yield "wait_events.jsonl", _wait_lines(result)
 
 
 def render_report(result) -> dict:

@@ -4,7 +4,8 @@ size_with_timeout cuts when the queue reaches block_size or when the timeout
 since the first enqueue of the current accumulation elapses, whichever comes
 first. dynamic_timeout drains the whole queue every timeout seconds (the
 coordination scenario's rule). Block-creation time is cut_at minus the first
-enqueue of the accumulation.
+enqueue of the accumulation. Every peer receives a block ordering_overhead
+seconds after its cut.
 """
 
 from __future__ import annotations
@@ -35,10 +36,13 @@ class Block:
 
 
 class Orderer:
-    def __init__(self, sim, cut_rule, n_peers: int):
+    """The ordering service: the FIFO queue of endorsed transactions, the
+    ledger of cut blocks, and their delivery to the peers."""
+
+    def __init__(self, sim):
         self.sim = sim
-        self.rule = cut_rule
-        self.n_peers = n_peers
+        self.rule = sim.config.cut_rule
+        self.overhead = sim.config.ordering_overhead
         self.queue: list[Transaction] = []
         self.first_enqueued_at = -1.0
         self.blocks: list[Block] = []
@@ -75,7 +79,8 @@ class Orderer:
     # -- cutting -----------------------------------------------------------
 
     def cut_block(self) -> None:
-        """Cut the whole queue, which is never empty here, into the next block.
+        """Cut the whole queue, which is never empty here, into the next block,
+        and deliver it to every peer after the ordering overhead.
 
         The size rule cuts as soon as the queue reaches block_size, so no cut
         leaves a remainder. Every cut cancels the armed timeout, so the
@@ -84,15 +89,27 @@ class Orderer:
         if self._timeout_handle is not None:
             self._timeout_handle.cancel()
             self._timeout_handle = None
+        sim = self.sim
+        now = sim.kernel.now
         txs = self.queue
-        block = Block(len(self.blocks) + 1, txs, self.first_enqueued_at, self.sim.kernel.now)
+        block = Block(len(self.blocks) + 1, txs, self.first_enqueued_at, now)
         self.blocks.append(block)
+        pool = sim.source.pool
         for pos, tx in enumerate(txs):
             tx.block_num = block.block_num
             tx.block_pos = pos
+            pool.discard(tx.tx_id)  # no longer a dependency candidate
         self.queue = []
         self._resolve_local_data(block)
-        self.sim.on_block_cut(block)
+        if self.overhead > 0:
+            sim.kernel.schedule(now + self.overhead, EventKind.GENERIC,
+                                lambda: self._deliver(block))
+        else:
+            self._deliver(block)
+
+    def _deliver(self, block: Block) -> None:
+        for peer in self.sim.peers:
+            peer.on_block_delivered(block)
 
     def _resolve_local_data(self, block: Block) -> None:
         """Freeze per-peer data availability at cut time.
@@ -104,4 +121,4 @@ class Orderer:
         held = -1
         for tx in block.txs:
             held &= tx.holders
-        block.local_data = [bool(held >> p & 1) for p in range(self.n_peers)]
+        block.local_data = [bool(held >> p & 1) for p in range(len(self.sim.peers))]

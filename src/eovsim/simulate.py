@@ -9,7 +9,7 @@ from .commit import Peer, assign_validity
 from .config import ScenarioConfig, config_hash
 from .coordination import WaitingController
 from .endorsement import EndorsementSystem, eligible_endorsers
-from .kernel import EventKind, RngStream, SimKernel
+from .kernel import RngStream, SimKernel
 from .metrics import STAGES, LatencySummary, RunCounters, ThroughputSummary
 from .ordering import Orderer
 from .workload import ArrivalSource, TxStatus
@@ -47,20 +47,12 @@ class Simulation:
         self.kernel = SimKernel()
         self.collect_traces = config.emit_traces if collect_traces is None else collect_traces
 
-        n = config.peers.count
-        self.peers = [Peer(self, i, config.commit_model, config.commit_mode,
-                           config.peers.scale_for(i)) for i in range(n)]
-        self.source = ArrivalSource(self, config.workload, extra_dep_probs)
-        self.endorsement = EndorsementSystem(
-            self, self.peers, config.leader, config.dissemination,
-            config.endorse_model.execute, config.endorse_model.overhead,
-            config.endorse_model.ack,
-            config.peers.endorse_concurrency, config.peers.gateway_buffer)
-        self.orderer = Orderer(self, config.cut_rule, n)
-        self.controller = WaitingController(self, config.waiting)
-        self._pool_mode = config.workload.arrival_process == "pool"
-
         self.counters = RunCounters()
+        self.peers = [Peer(self, i) for i in range(config.peers.count)]
+        self.source = ArrivalSource(self, extra_dep_probs)
+        self.endorsement = EndorsementSystem(self)
+        self.orderer = Orderer(self)
+        self.controller = WaitingController(self)
         self._commits: list = []  # PhaseTiming of every commit event, in event order
         # peers that may endorse at the current heights; heights change only
         # on a commit, so on_commit refreshes it
@@ -74,34 +66,7 @@ class Simulation:
         once: a second call would replay the same draws."""
         return RngStream(self.config.seed, label)
 
-    # -- hooks from the subsystems ------------------------------------------
-
-    def on_dropped(self, tx) -> None:
-        self.counters.dropped += 1
-        if tx.drop_reason == "capacity":
-            self.counters.dropped_capacity += 1
-        elif tx.drop_reason == "quorum":
-            self.counters.dropped_quorum += 1
-        self.source.pool.discard(tx.tx_id)
-
-    def on_endorsed(self, tx) -> None:
-        self.counters.endorsed += 1
-        self.orderer.enqueue_endorsed(tx)
-
-    def on_block_cut(self, block) -> None:
-        pool = self.source.pool
-        for tx in block.txs:
-            pool.discard(tx.tx_id)
-        if self.config.ordering_overhead > 0:
-            self.kernel.schedule(self.kernel.now + self.config.ordering_overhead,
-                                 EventKind.GENERIC,
-                                 lambda: self._deliver(block))
-        else:
-            self._deliver(block)
-
-    def _deliver(self, block) -> None:
-        for peer in self.peers:
-            peer.on_block_delivered(block)
+    # -- hook from the peers -------------------------------------------------
 
     def on_commit(self, block, timing) -> None:
         now = self.kernel.now
@@ -111,22 +76,7 @@ class Simulation:
         self.controller.on_commit_event()
         self._accrue_eligibility(now)
         self.eligible = eligible_endorsers(self.config.leader, [p.height for p in self.peers])
-        self.pull_pooled()
-
-    # -- pool-mode pulls ------------------------------------------------------
-
-    def pull_pooled(self) -> None:
-        """Fill the free slots of eligible peers from the pool (pool mode only)."""
-        if not self._pool_mode or self.source.pool_exhausted():
-            return
-        cap = self.config.peers.endorse_concurrency
-        for i in self.eligible:
-            peer = self.peers[i]
-            while peer.busy < cap:
-                tx = self.source.next_pooled()
-                if tx is None:
-                    return
-                self.endorsement.admit(peer, tx)
+        self.source.pull()
 
     # -- eligibility accounting -----------------------------------------------
 
@@ -145,7 +95,7 @@ class Simulation:
     def run(self) -> RunResult:
         self.source.start()
         self.orderer.start()
-        self.pull_pooled()
+        self.source.pull()
         self.kernel.run_until(self.config.horizon)
         return self._finalize()
 
@@ -180,7 +130,7 @@ class Simulation:
 
         if truncated:
             for tx in txs:
-                if tx.status in (TxStatus.CREATED, TxStatus.BUFFERED, TxStatus.EXECUTING):
+                if tx.status == TxStatus.CREATED:
                     tx.status = TxStatus.DROPPED
                     tx.drop_reason = "horizon"
                     counters.dropped += 1

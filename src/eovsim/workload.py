@@ -26,8 +26,6 @@ __all__ = ["TxStatus", "Transaction", "InFlightPool", "draw_parent", "ArrivalSou
 
 class TxStatus:
     CREATED = "created"
-    BUFFERED = "buffered"
-    EXECUTING = "executing"
     ENDORSED = "endorsed"
     DROPPED = "dropped"
     COMMITTED_VALID = "committed-valid"
@@ -110,18 +108,22 @@ class ArrivalSource:
     """Generates creation events and routes new transactions to endorsement.
 
     For rate-driven modes each client is a self-rescheduling chain of arrival
-    events, so the pending-event count stays O(num_clients). parents maps
-    each dependency probability, the configured one first, to its parents
+    events, so the pending-event count stays O(num_clients). In pool mode
+    eligible peers pull transactions as they free slots. parents maps each
+    dependency probability, the configured one first, to its parents
     sequence: parents[p][tx_id] is the parent id or None.
     """
 
-    def __init__(self, sim, workload_cfg, extra_probs=()):
+    def __init__(self, sim, extra_probs=()):
+        workload_cfg = sim.config.workload
         self.sim = sim
         self.cfg = workload_cfg
         self.pool = InFlightPool()
         self.txs: list[Transaction] = []
         self._active_clients = 0
+        self._pooled = workload_cfg.arrival_process == "pool"
         self._pool_cursor = 0  # pool mode: txs[cursor:] are still unpulled
+        self._concurrency = sim.config.peers.endorse_concurrency
         # deterministic arrivals: exactly rate*duration per client, at k/rate
         # for k = 1..n
         self._per_client = int(round(workload_cfg.rate_per_client * workload_cfg.duration))
@@ -133,7 +135,7 @@ class ArrivalSource:
 
     def start(self) -> None:
         cfg = self.cfg
-        if cfg.arrival_process == "pool":
+        if self._pooled:
             for _ in range(cfg.pool_size):
                 self._create(client_id=0, at=0.0)
             return
@@ -176,17 +178,25 @@ class ArrivalSource:
 
     # -- pool mode -----------------------------------------------------------
 
-    def next_pooled(self) -> Transaction | None:
-        if self._pool_cursor >= len(self.txs):
-            return None
-        tx = self.txs[self._pool_cursor]
-        self._pool_cursor += 1
-        return tx
-
-    def pool_exhausted(self) -> bool:
-        return self._pool_cursor >= len(self.txs)
+    def pull(self) -> None:
+        """Fill the free slots of the eligible peers, in eligible order, from
+        the unpulled transactions (pool mode only)."""
+        if not self._pooled or self._pool_cursor >= len(self.txs):
+            return
+        sim = self.sim
+        txs = self.txs
+        admit = sim.endorsement.admit
+        cap = self._concurrency
+        for i in sim.eligible:
+            peer = sim.peers[i]
+            while peer.busy < cap:
+                if self._pool_cursor >= len(txs):
+                    return
+                tx = txs[self._pool_cursor]
+                self._pool_cursor += 1
+                admit(peer, tx)
 
     def exhausted(self) -> bool:
-        if self.cfg.arrival_process == "pool":
-            return self.pool_exhausted()
+        if self._pooled:
+            return self._pool_cursor >= len(self.txs)
         return self._active_clients == 0

@@ -340,15 +340,15 @@ def test_cli_integrity_failure_exit_3(tmp_path, monkeypatch):
 
 
 def test_cli_conservation_failure_exit_3(tmp_path, monkeypatch, capsys):
-    from eovsim.simulate import Simulation
-    orig = Simulation.on_endorsed
+    from eovsim.endorsement import EndorsementSystem
+    orig = EndorsementSystem._complete
 
-    def uncounted(self, tx):
-        orig(self, tx)
-        if tx.tx_id == 0:
-            self.counters.endorsed -= 1  # an endorsement the counters lose
+    def uncounted(self, peer, tx, ok):
+        orig(self, peer, tx, ok)
+        if ok and tx.tx_id == 0:
+            self.sim.counters.endorsed -= 1  # an endorsement the counters lose
 
-    monkeypatch.setattr(Simulation, "on_endorsed", uncounted)
+    monkeypatch.setattr(EndorsementSystem, "_complete", uncounted)
     cfg = tiny_config(out_dir=str(tmp_path / "out"))
     assert main(["run", str(_write_cfg(tmp_path, cfg))]) == 3
     assert "conservation violated" in capsys.readouterr().err

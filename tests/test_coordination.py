@@ -40,38 +40,37 @@ def test_gap_beyond_ceiling_stands_down():
     # a gap beyond the ceiling cannot occur while waiting is enabled: the
     # controller raises instead of acting, pausing and boosting nobody
     sim = _wired_sim()
-    ctl = WaitingController(sim, POLICY)
+    ctl = WaitingController(sim)
     sim.peers[0].height, sim.peers[1].height = 30, 10
     with pytest.raises(SimulationIntegrityError):
         ctl.on_commit_event()
-    assert ctl.paused == set() and ctl.boosted_peer is None
     assert not any(p.paused for p in sim.peers)
     assert all(p.boost_factor == 1.0 for p in sim.peers)
 
 
 def test_resume_boundary_inclusive():
     sim = _wired_sim()
-    ctl = WaitingController(sim, POLICY)
+    ctl = WaitingController(sim)
     sim.peers[0].height, sim.peers[1].height = 40, 34  # gap 6 = tau + 1
     ctl.on_commit_event()
     ctl.on_commit_event()
-    assert ctl.paused and sim.peers[0].paused          # gap 6: pause continues
+    assert sim.peers[0].paused                          # gap 6: pause continues
     sim.peers[1].height = 35                            # gap 5 == tau
     ctl.on_commit_event()
-    assert not ctl.paused and not sim.peers[0].paused  # resumes at tau
+    assert not sim.peers[0].paused                      # resumes at tau
     sim.peers[1].height = 34
     ctl.on_commit_event()
-    assert ctl.paused
+    assert sim.peers[0].paused
     sim.peers[1].height = 40                            # gap 0
     ctl.on_commit_event()
-    assert not ctl.paused and not sim.peers[0].paused
+    assert not any(p.paused for p in sim.peers)
 
 
 def test_ceiling_logged_once_per_crossing():
     # crossing the ceiling is an integrity failure, not a logged event: every
     # commit event beyond it raises and the log stays empty
     sim = _wired_sim()
-    ctl = WaitingController(sim, POLICY)
+    ctl = WaitingController(sim)
     sim.peers[0].height, sim.peers[1].height = 30, 10
     for _ in range(2):
         with pytest.raises(SimulationIntegrityError):
@@ -84,35 +83,35 @@ def test_ceiling_logged_once_per_crossing():
 
 def _wired_sim():
     cfg = preset("waiting-2peer")
-    cfg = replace(cfg, workload=replace(cfg.workload, pool_size=50))
+    cfg = replace(cfg, workload=replace(cfg.workload, pool_size=50), waiting=POLICY)
     return Simulation(cfg, collect_traces=False)
 
 
 def test_boost_switches_distribution_mean_and_restores():
     sim = _wired_sim()
-    ctl = WaitingController(sim, POLICY)
-    ctl.paused = {0}
+    ctl = WaitingController(sim)
+    sim.peers[0].paused = True
     ctl.apply_boost(1)
     # Exp(mean 2.3) becomes Exp(mean 1.8): factor on the peer's samples
     assert math.isclose(sim.peers[1].boost_factor * POLICY.baseline_means[1], 1.8)
-    assert ctl.boosted_peer == 1
+    assert sim.peers[0].boost_factor == 1.0  # only the lagger is boosted
     ctl.release_boost()
-    assert sim.peers[1].boost_factor == 1.0 and ctl.boosted_peer is None
+    assert all(p.boost_factor == 1.0 for p in sim.peers)
 
 
 def test_boost_without_pause_rejected():
     sim = _wired_sim()
-    ctl = WaitingController(sim, POLICY)
+    ctl = WaitingController(sim)
     with pytest.raises(SimulationIntegrityError):
         ctl.apply_boost(1)
 
 
 def test_gap_growth_during_pause_is_integrity_failure():
     sim = _wired_sim()
-    ctl = WaitingController(sim, POLICY)
+    ctl = WaitingController(sim)
     sim.peers[0].height, sim.peers[1].height = 40, 34
     ctl.on_commit_event()
-    assert ctl.paused and sim.peers[0].paused
+    assert sim.peers[0].paused and not sim.peers[1].paused
     sim.peers[0].height = 41  # impossible: the leader is paused
     with pytest.raises(SimulationIntegrityError):
         ctl.on_commit_event()
@@ -120,17 +119,17 @@ def test_gap_growth_during_pause_is_integrity_failure():
 
 def test_pause_resume_cycle_and_event_log():
     sim = _wired_sim()
-    ctl = WaitingController(sim, POLICY)
+    ctl = WaitingController(sim)
     sim.peers[0].height, sim.peers[1].height = 40, 34
     ctl.on_commit_event()
     assert {e.kind for e in ctl.events} == {"pause_start", "boost_start"}
     ctl.on_commit_event()  # another commit at gap tau + 1 keeps the pause
-    assert ctl.paused and sim.peers[0].paused and len(ctl.events) == 2
+    assert sim.peers[0].paused and len(ctl.events) == 2
     sim.peers[1].height = 35  # lagger commits, gap closes to tau (inclusive)
     ctl.on_commit_event()
     kinds = [e.kind for e in ctl.events]
     assert "pause_end" in kinds and "boost_end" in kinds
-    assert not ctl.paused and not sim.peers[0].paused
+    assert not any(p.paused for p in sim.peers)
     assert sim.peers[1].boost_factor == 1.0
 
 

@@ -169,7 +169,7 @@ def test_admit_slots_then_buffer_then_drop():
     assert peer.busy == c and not peer.buffer
     t1 = Transaction(1, 0, 0.0)
     es.admit(peer, t1)
-    assert t1.status == TxStatus.BUFFERED and len(peer.buffer) == 1
+    assert t1 in peer.buffer and len(peer.buffer) == 1
     for i in range(2, b + 1):
         es.admit(peer, Transaction(i, 0, 0.0))
     assert len(peer.buffer) == b

@@ -22,6 +22,7 @@ from eovsim import (
 )
 from eovsim.endorsement import EndorsementSystem
 from eovsim.metrics import render_report
+from eovsim.ordering import Orderer
 from eovsim.simulate import Simulation
 from eovsim.workload import TxStatus
 
@@ -170,8 +171,7 @@ def test_drained_run_leaves_nothing_in_flight(cfg):
     if res.status == "drained":
         assert not any(p.busy or p.buffer for p in sim.peers)
         assert not sim.orderer.queue
-        assert not any(tx.status in (TxStatus.CREATED, TxStatus.BUFFERED, TxStatus.EXECUTING)
-                       for tx in sim.source.txs)
+        assert not any(tx.status == TxStatus.CREATED for tx in sim.source.txs)
 
 
 @CASES
@@ -222,6 +222,20 @@ def test_pipeline_safety_phase2_ordered_disjoint(cfg):
             assert b.p2_start >= a.p2_end - 1e-12
         for t in timings:
             assert t.p1_end <= t.p2_start + 1e-12
+    # work conservation: without waiting no phase idles while it has work, so
+    # every started phase starts exactly at its max-plus recurrence, with
+    # block i delivered at d_i = cut_at + ordering_overhead
+    pipelined = cfg.commit_mode == "pipelined"
+    for peer in sim.peers:
+        p1_end = p2_end = -1.0  # the previous block's, -1 before the first
+        for t, block in zip(peer.timings, sim.orderer.blocks):
+            if t.p1_start < 0:
+                break
+            d = block.cut_at + cfg.ordering_overhead
+            assert t.p1_start == max(d, p1_end if pipelined else p2_end)
+            if t.p2_start >= 0:
+                assert t.p2_start == (max(t.p1_end, p2_end) if pipelined else t.p1_end)
+            p1_end, p2_end = t.p1_end, t.p2_end
 
 
 @CASES
@@ -290,15 +304,15 @@ def test_block_local_data_matches_dissemination_trace(cfg):
     # a peer holds a block's private data iff it endorsed or received every
     # transaction of the block. Every cut takes the whole orderer queue, and
     # the size rule cuts before the queue passes block_size.
-    on_block_cut = Simulation.on_block_cut
+    cut_block = Orderer.cut_block
 
-    def checked_cut(sim, block):
-        on_block_cut(sim, block)
-        assert not sim.orderer.queue
+    def checked_cut(orderer):
+        cut_block(orderer)
+        assert not orderer.queue
         if cfg.cut_rule.kind == "size_with_timeout":
-            assert block.size <= cfg.cut_rule.block_size
+            assert orderer.blocks[-1].size <= cfg.cut_rule.block_size
 
-    with patch.object(Simulation, "on_block_cut", checked_cut):
+    with patch.object(Orderer, "cut_block", checked_cut):
         res = run_scenario(cfg, collect_traces=True)
     for block, _ in res.block_trace:
         for p in range(cfg.peers.count):
