@@ -34,7 +34,7 @@ from .config import (
     loads_config,
 )
 from .commit import Peer, assign_validity, bench_commit, steady_state_tps
-from .coordination import WaitEvent, evaluate_wait
+from .coordination import WaitEvent
 from .endorsement import eligible_endorsers, quorum_satisfied
 from .metrics import (
     LatencySummary,
@@ -57,7 +57,7 @@ __all__ = [
     "WaitingPolicy", "ConfigError", "load_config", "loads_config", "emit_config",
     "config_hash",
     "Peer", "steady_state_tps", "bench_commit", "assign_validity",
-    "WaitEvent", "evaluate_wait",
+    "WaitEvent",
     "eligible_endorsers", "quorum_satisfied",
     "RunCounters", "LatencySummary", "ThroughputSummary",
     "success_ratio", "emit_report",

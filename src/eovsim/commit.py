@@ -17,9 +17,8 @@ dependents pass vacuously.
 from __future__ import annotations
 
 from collections import deque
-from types import SimpleNamespace
 
-from .kernel import EventKind, RngStream, SimKernel, SimulationIntegrityError
+from .kernel import EventKind, SimulationIntegrityError
 from .workload import TxStatus
 
 __all__ = ["PhaseTiming", "Peer", "steady_state_tps", "bench_commit",
@@ -202,49 +201,35 @@ def assign_validity(blocks, txs, parents) -> list:
 
 def bench_commit(p1_dist, p2_dist, block_size: int, mode: str, n_blocks: int,
                  seed: int = 1, warmup: int = 10):
-    """Drive one real peer's commit pipeline with a saturated queue of blocks.
+    """Drive peer 0 of a real Simulation with a saturated queue of blocks.
 
     All blocks are delivered at t=0; throughput is measured over blocks
     (warmup, n_blocks]. With constant stage distributions this matches
     steady_state_tps exactly.
     """
     from .config import CommitLatencyModel, ScenarioConfig
-
-    class _StubBlock:
-        __slots__ = ("block_num", "size", "local_data")
-
-        def __init__(self, num):
-            self.block_num = num
-            self.size = block_size
-            self.local_data = [True]
-
-    class _StubSim:
-        def __init__(self):
-            self.config = ScenarioConfig(
-                commit_model=CommitLatencyModel(vscc=p1_dist, mvcc=p2_dist), commit_mode=mode)
-            self.kernel = SimKernel()
-            self.orderer = SimpleNamespace(blocks=[_StubBlock(i + 1) for i in range(n_blocks)])
-            self.commit_times = []
-
-        def stream(self, label):
-            return RngStream(seed, label)
-
-        def on_commit(self, block, timing):
-            self.commit_times.append(self.kernel.now)
+    from .ordering import Block
+    from .simulate import Simulation
 
     if not 0 <= warmup < n_blocks:
         raise ValueError("need 0 <= warmup < n_blocks")
-    sim = _StubSim()
-    peer = Peer(sim, 0)
-    for block in sim.orderer.blocks:
+    config = ScenarioConfig(seed=seed, commit_mode=mode,
+                            commit_model=CommitLatencyModel(vscc=p1_dist, mvcc=p2_dist))
+    sim = Simulation(config, collect_traces=False)
+    peer = sim.peers[0]
+    txs = [None] * block_size
+    for i in range(n_blocks):
+        block = Block(i + 1, txs, 0.0, 0.0)
+        block.local_data = [True]
+        sim.orderer.blocks.append(block)
         peer.on_block_delivered(block)
     sim.kernel.run_until()
     if peer.height != n_blocks:
         raise SimulationIntegrityError("bench did not commit every block")
-    t0 = sim.commit_times[warmup - 1] if warmup else 0.0
-    elapsed = sim.commit_times[-1] - t0
-    tps = (n_blocks - warmup) * block_size / elapsed
     timings = peer.timings
+    t0 = timings[warmup - 1].p2_end if warmup else 0.0
+    elapsed = timings[-1].p2_end - t0
+    tps = (n_blocks - warmup) * block_size / elapsed
     p1_mean = sum(t.p1_duration for t in timings) / n_blocks
     p2_mean = sum(t.p2_duration for t in timings) / n_blocks
     return {"tps": tps, "p1_mean": p1_mean, "p2_mean": p2_mean,

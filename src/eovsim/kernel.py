@@ -213,6 +213,9 @@ class DistributionSpec:
     def __post_init__(self):
         if self.family not in FAMILY_PARAMS:
             raise ValueError(f"unknown distribution family {self.family!r}")
+        if not all(map(math.isfinite, (self.value, self.mean, self.std, self.scale,
+                                       self.per_tx, *self.samples))):
+            raise ValueError("distribution parameters must be finite")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
         if self.per_tx < 0:

@@ -44,7 +44,6 @@ class Orderer:
         self.rule = sim.config.cut_rule
         self.overhead = sim.config.ordering_overhead
         self.queue: list[Transaction] = []
-        self.first_enqueued_at = -1.0
         self.blocks: list[Block] = []
         self._timeout_handle = None
 
@@ -55,12 +54,10 @@ class Orderer:
     # -- enqueue -----------------------------------------------------------
 
     def enqueue_endorsed(self, tx: Transaction) -> None:
-        now = self.sim.kernel.now
-        if not self.queue:
-            self.first_enqueued_at = now
-            if self.rule.kind == "size_with_timeout":
-                self._timeout_handle = self.sim.kernel.schedule(
-                    now + self.rule.timeout, EventKind.BLOCK_CUT, self.cut_block)
+        if not self.queue and self.rule.kind == "size_with_timeout":
+            kernel = self.sim.kernel
+            self._timeout_handle = kernel.schedule(
+                kernel.now + self.rule.timeout, EventKind.BLOCK_CUT, self.cut_block)
         self.queue.append(tx)
         if self.rule.kind == "size_with_timeout" and len(self.queue) >= self.rule.block_size:
             self.cut_block()
@@ -84,7 +81,8 @@ class Orderer:
 
         The size rule cuts as soon as the queue reaches block_size, so no cut
         leaves a remainder. Every cut cancels the armed timeout, so the
-        timeout fires only on a non-empty queue.
+        timeout fires only on a non-empty queue. The first transaction was
+        enqueued the instant its endorsement ended.
         """
         if self._timeout_handle is not None:
             self._timeout_handle.cancel()
@@ -92,7 +90,7 @@ class Orderer:
         sim = self.sim
         now = sim.kernel.now
         txs = self.queue
-        block = Block(len(self.blocks) + 1, txs, self.first_enqueued_at, now)
+        block = Block(len(self.blocks) + 1, txs, txs[0].endorse_end, now)
         self.blocks.append(block)
         pool = sim.source.pool
         for pos, tx in enumerate(txs):

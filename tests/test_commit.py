@@ -1,6 +1,11 @@
+import contextlib
+import hashlib
+import io
 import itertools
 import math
+import runpy
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +241,19 @@ def test_height_equals_phase2_completions(small_cfg):
     for peer in sim.peers:
         assert peer.height == len(sim.orderer.blocks)
         assert peer.height == sum(1 for t in peer.timings if t.p2_end >= 0)
+
+
+# sha256 of the stdout of each demo that drives bench_commit, so a change in
+# how bench_commit drives its peer cannot change a printed figure unseen
+DEMO_STDOUT_SHA256 = {
+    "01_pipelined_commit.py": "3413d2726d2db7f952fc200b520d6cad1e3be0671aa5fdec0420cedc207aee0f",
+    "02_vscc_core_scaling.py": "9b6c06f486fe0f427813349db3b755fd8871bc32554764acad7bf9cbdd76e5b8",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_STDOUT_SHA256))
+def test_bench_commit_demo_output_pinned(demo):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(Path(__file__).parent.parent / "demos" / demo), run_name="__main__")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DEMO_STDOUT_SHA256[demo]

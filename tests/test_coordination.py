@@ -6,7 +6,6 @@ import pytest
 from eovsim import (
     SimulationIntegrityError,
     WaitingPolicy,
-    evaluate_wait,
     run_scenario,
 )
 from eovsim.coordination import WaitingController
@@ -18,22 +17,40 @@ POLICY = WaitingPolicy(enabled=True, tau=5, ceiling=15,
                        boosted_mean=1.8, baseline_means=(1.3, 2.3))
 
 
+def _commit_event(sim, ctl, *heights):
+    for peer, h in zip(sim.peers, heights):
+        peer.height = h
+    ctl.on_commit_event()
+
+
 def test_gap_beyond_tau_triggers_pause_and_boost():
-    action, leaders, lagger, gap = evaluate_wait([40, 34], POLICY)
-    assert action == "pause" and leaders == [0] and lagger == 1 and gap == 6
+    sim = _wired_sim()
+    ctl = WaitingController(sim)
+    _commit_event(sim, ctl, 40, 34)
+    assert [p.paused for p in sim.peers] == [True, False]
+    assert math.isclose(sim.peers[1].boost_factor * POLICY.baseline_means[1], 1.8)
+    assert [(e.kind, e.leader, e.lagger, e.gap) for e in ctl.events] == [
+        ("pause_start", 0, 1, 6), ("boost_start", 0, 1, 6)]
 
 
 def test_gap_within_tau_no_action():
-    action, *_ = evaluate_wait([10, 7], POLICY)
-    assert action == "none"
+    sim = _wired_sim()
+    ctl = WaitingController(sim)
+    _commit_event(sim, ctl, 10, 7)
+    assert not any(p.paused for p in sim.peers)
+    assert all(p.boost_factor == 1.0 for p in sim.peers)
+    assert ctl.events == []
 
 
 def test_gap_beyond_tau_plus_one_is_integrity_failure():
     # tau + 1 is the largest gap a waiting run can reach; anything wider,
     # even below the configured ceiling, means the invariant broke
-    assert evaluate_wait([41, 35], POLICY)[0] == "pause"
-    with pytest.raises(SimulationIntegrityError):
-        evaluate_wait([42, 35], POLICY)
+    sim = _wired_sim()
+    ctl = WaitingController(sim)
+    _commit_event(sim, ctl, 41, 35)
+    assert sim.peers[0].paused
+    with pytest.raises(SimulationIntegrityError, match="exceeds tau"):
+        _commit_event(sim, ctl, 42, 35)
 
 
 def test_gap_beyond_ceiling_stands_down():
@@ -90,20 +107,45 @@ def _wired_sim():
 def test_boost_switches_distribution_mean_and_restores():
     sim = _wired_sim()
     ctl = WaitingController(sim)
-    sim.peers[0].paused = True
-    ctl.apply_boost(1)
+    _commit_event(sim, ctl, 40, 34)
     # Exp(mean 2.3) becomes Exp(mean 1.8): factor on the peer's samples
     assert math.isclose(sim.peers[1].boost_factor * POLICY.baseline_means[1], 1.8)
     assert sim.peers[0].boost_factor == 1.0  # only the lagger is boosted
-    ctl.release_boost()
+    _commit_event(sim, ctl, 40, 35)
     assert all(p.boost_factor == 1.0 for p in sim.peers)
 
 
 def test_boost_without_pause_rejected():
+    # walk every state that commit events can reach from equal heights (a
+    # paused peer never commits) and check that a boost is never left
+    # standing without a paused peer
     sim = _wired_sim()
     ctl = WaitingController(sim)
-    with pytest.raises(SimulationIntegrityError):
-        ctl.apply_boost(1)
+    peers = sim.peers
+
+    def state():
+        low = min(p.height for p in peers)
+        return tuple((p.height - low, p.paused, p.boost_factor) for p in peers)
+
+    frontier, seen = [state()], set()
+    while frontier:
+        start = frontier.pop()
+        if start in seen:
+            continue
+        seen.add(start)
+        for mover in range(len(peers)):
+            for peer, (h, paused, factor) in zip(peers, start):
+                peer.height, peer.paused, peer.boost_factor = h, paused, factor
+            if peers[mover].paused:
+                continue
+            peers[mover].height += 1
+            ctl.on_commit_event()
+            if any(p.boost_factor != 1.0 for p in peers):
+                assert any(p.paused for p in peers)
+            frontier.append(state())
+    # the walk reached both a pause and a release
+    assert any(paused for s in seen for _, paused, _ in s)
+    assert {e.kind for e in ctl.events} == {"pause_start", "pause_end", "boost_start", "boost_end"}
 
 
 def test_gap_growth_during_pause_is_integrity_failure():

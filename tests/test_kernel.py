@@ -141,6 +141,26 @@ def test_invalid_distribution_params_rejected():
         D.constant(1.0, scale=0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: D.constant(math.nan),
+    lambda: D.constant(math.inf),
+    lambda: D.exponential(math.inf),
+    lambda: D.normal(1.0, math.nan),
+    lambda: D.normal(-math.inf, 1.0),
+    lambda: D.empirical([0.1, math.nan]),
+    lambda: D.empirical([math.inf]),
+    lambda: D.constant(1.0, scale=math.nan),
+    lambda: D.constant(1.0, scale=math.inf),
+    lambda: D.constant(1.0, per_tx=math.nan),
+    lambda: D.exponential(1.0, per_tx=math.inf),
+])
+def test_non_finite_distribution_params_rejected(build):
+    # a NaN or infinite sample would put a NaN event time in the heap and
+    # break its order, so the run would report a partial, wrong result
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_per_tx_affine_term():
     dist = D.constant(0.1, per_tx=0.001)
     assert math.isclose(dist.sample(_stream(), block_size=500), 0.6)

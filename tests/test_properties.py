@@ -145,15 +145,49 @@ def test_waiting_gap_bound_and_paused_peers_idle(cfg):
     for _, peer in done:
         heights[peer] += 1
         assert max(heights) - min(heights) <= cfg.waiting.tau + 1
+    for peer, start, end in _pause_windows(res.wait_events):
+        assert not any(p == peer and start < at < end for at, p in done)
+
+
+def _pause_windows(wait_events):
+    """(peer, pause_start, pause_end) of every pause, with inf for a pause
+    still open when the run ended."""
     windows, open_at = [], {}
-    for ev in res.wait_events:
+    for ev in wait_events:
         if ev.kind == "pause_start":
             open_at[ev.leader] = ev.at
         elif ev.kind == "pause_end":
             windows.append((ev.leader, open_at.pop(ev.leader), ev.at))
-    windows += [(peer, start, float("inf")) for peer, start in open_at.items()]
-    for peer, start, end in windows:
-        assert not any(p == peer and start < at < end for at, p in done)
+    return windows + [(peer, start, float("inf")) for peer, start in open_at.items()]
+
+
+@CASES
+@given(waiting_scenario())
+def test_waiting_work_conservation(cfg):
+    # with waiting on, phase 1 keeps its max-plus recurrence, and phase 2
+    # starts the instant it is ready unless that instant falls in one of the
+    # peer's pause windows [pause_start, pause_end): then it starts exactly
+    # when the window closes, or never if the window stays open
+    sim = Simulation(cfg, collect_traces=False)
+    sim.run()
+    events = sim.controller.events
+    pause_at = {e.at for e in events if e.kind == "pause_start"}
+    assert all(e.at in pause_at for e in events if e.kind == "boost_start")
+    windows = _pause_windows(events)
+    pipelined = cfg.commit_mode == "pipelined"
+    for peer in sim.peers:
+        p1_end = p2_end = -1.0  # the previous block's, -1 before the first
+        for t, block in zip(peer.timings, sim.orderer.blocks):
+            if t.p1_start < 0:
+                break
+            d = block.cut_at + cfg.ordering_overhead
+            assert t.p1_start == max(d, p1_end if pipelined else p2_end)
+            if t.p2_start >= 0:
+                ready = max(t.p1_end, p2_end) if pipelined else t.p1_end
+                held = [end for i, start, end in windows
+                        if i == peer.peer_id and start <= ready < end]
+                assert t.p2_start == (held[0] if held else ready)
+            p1_end, p2_end = t.p1_end, t.p2_end
 
 
 @CASES
