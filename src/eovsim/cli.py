@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, ScenarioConfig, emit_config, load_config, validate
+from .config import ConfigError, ScenarioConfig, emit_config, load_config
 from .kernel import SimulationIntegrityError
 from .metrics import emit_report, fmt, render_summary_csv
 from .presets import preset, preset_names
@@ -69,15 +68,9 @@ def _cmd_run(args) -> int:
     cfg = _load_target(args.config)
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
-        errors = validate(cfg)
-        if errors:
-            raise ConfigError(errors)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.no_traces:
-        cfg = replace(cfg, emit_traces=False)
-    result = run_scenario(cfg)
-    written = emit_report(result, cfg.out_dir)
+    # run options, not part of the scenario, so they leave config_hash alone
+    result = run_scenario(cfg, collect_traces=cfg.emit_traces and not args.no_traces)
+    written = emit_report(result, args.out or cfg.out_dir)
     c = result.counters
     print(f"run {result.config_hash} seed={cfg.seed} status={result.status} "
           f"created={c.created} endorsed={c.endorsed} dropped={c.dropped} "

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
 
@@ -140,6 +141,10 @@ class ScenarioConfig:
     waiting: WaitingPolicy = field(default_factory=WaitingPolicy)
     emit_traces: bool = True
 
+    def __post_init__(self):
+        if errors := validate(self):
+            raise ConfigError(errors)
+
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return replace(self, seed=seed)
 
@@ -158,6 +163,15 @@ def _field_types(cls, acc: dict) -> dict:
     return acc
 
 
+def _float_paths(cls, prefix=""):
+    """Every float and float-list field under cls, as a dotted path."""
+    for name, tp in _FIELD_TYPES[cls].items():
+        if tp in (float, _FLOATS):
+            yield prefix + name
+        elif tp in _FIELD_TYPES and tp is not DistributionSpec:  # a DistributionSpec checks itself
+            yield from _float_paths(tp, f"{prefix}{name}.")
+
+
 # Resolved once at import: get_type_hints re-walks the annotations on every
 # call, which would dominate set_by_path in a sweep.
 _FIELD_TYPES = _field_types(ScenarioConfig, {})
@@ -165,6 +179,8 @@ _FLOATS = tuple[float, ...]
 _EXPECTED = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
              _FLOATS: "a list of numbers"}
 _BAD = object()  # a value that failed to load; its error is already recorded
+_FLOAT_PATHS = tuple(_float_paths(ScenarioConfig))
+_float_values = attrgetter(*_FLOAT_PATHS)
 
 
 def _normalize_ms(obj, path, errors):
@@ -282,8 +298,6 @@ def _from_dict(raw: dict, base_dir=None) -> ScenarioConfig:
     errors: list[str] = []
     raw = _normalize_ms(raw, "", errors)
     cfg = _read_fields(ScenarioConfig, raw, "", errors, base_dir)
-    if not errors:
-        errors = validate(cfg)
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -291,7 +305,12 @@ def _from_dict(raw: dict, base_dir=None) -> ScenarioConfig:
 
 def validate(cfg: ScenarioConfig) -> list[str]:
     """All invariant violations, each tagged with its field path."""
-    e: list[str] = []
+    # every comparison with NaN is false, so a non-finite number is reported alone
+    e = [f"{path}: expected a finite number, got {json.dumps(v)}"
+         for path, val in zip(_FLOAT_PATHS, _float_values(cfg))
+         for v in (val if type(val) is tuple else (val,)) if not math.isfinite(v)]
+    if e:
+        return e
     w, p, d = cfg.workload, cfg.peers, cfg.dissemination
 
     if cfg.seed < 0:
@@ -427,13 +446,11 @@ def config_hash(cfg: ScenarioConfig) -> str:
 def set_by_path(cfg: ScenarioConfig, dotted: str, value) -> ScenarioConfig:
     """Return a copy of cfg with the dotted config path replaced (sweep grids)."""
     d = config_to_dict(cfg)
-    parts = dotted.split(".")
+    *parents, leaf = dotted.split(".")
     node = d
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError([f"{dotted}: no such config path"])
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
+    for part in parents:
+        node = node.get(part) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or leaf not in node:
         raise ConfigError([f"{dotted}: no such config path"])
-    node[parts[-1]] = value
+    node[leaf] = value
     return _from_dict(d)

@@ -22,7 +22,6 @@ from .config import (
     ScenarioConfig,
     WaitingPolicy,
     WorkloadConfig,
-    validate,
 )
 from .kernel import DistributionSpec as D
 
@@ -239,14 +238,9 @@ def preset(name: str, variant: str | None = None) -> ScenarioConfig:
     fn = PRESETS.get(name)
     if fn is None:
         raise ConfigError([f"unknown preset {name!r}; available: {preset_names()}"])
-    if variant is not None and name in ("pvtdata-250x600", "pipeline-400x600"):
-        cfg = fn(variant)
-    elif variant is not None:
+    if variant is None:
+        return fn()
+    if name not in ("pvtdata-250x600", "pipeline-400x600"):
         raise ConfigError([f"preset {name!r} takes no dissemination variant, "
                            f"got {variant!r}"])
-    else:
-        cfg = fn()
-    errors = validate(cfg)
-    if errors:
-        raise ConfigError([f"preset {name}: {e}" for e in errors])
-    return cfg
+    return fn(variant)

@@ -41,11 +41,11 @@ class RunResult:
 class Simulation:
     """Wires workload, endorsement, ordering, commit, and coordination."""
 
-    def __init__(self, config: ScenarioConfig, collect_traces: bool | None = None,
+    def __init__(self, config: ScenarioConfig, collect_traces: bool = True,
                  extra_dep_probs=()):
         self.config = config
         self.kernel = SimKernel()
-        self.collect_traces = config.emit_traces if collect_traces is None else collect_traces
+        self.collect_traces = collect_traces
 
         self.counters = RunCounters()
         self.peers = [Peer(self, i) for i in range(config.peers.count)]
@@ -212,7 +212,7 @@ class Simulation:
         yield [b.first_commit_at - tx.created_at for b in committed for tx in b.txs]
 
 
-def run_scenario(config: ScenarioConfig, collect_traces: bool | None = None,
+def run_scenario(config: ScenarioConfig, collect_traces: bool = True,
                  extra_dep_probs=()) -> RunResult:
     return Simulation(config, collect_traces=collect_traces,
                       extra_dep_probs=extra_dep_probs).run()

@@ -303,6 +303,22 @@ def test_cli_run_writes_reports_and_exits_zero(tmp_path, capsys):
     assert manifest["seed"] == cfg.seed
 
 
+def test_cli_run_options_leave_config_hash_alone(tmp_path, capsys):
+    # --out and --no-traces say where and what to write, not what to simulate
+    cfg = tiny_config()
+    path = _write_cfg(tmp_path, cfg)
+    a, b = tmp_path / "A", tmp_path / "B"
+    assert main(["run", str(path), "--out", str(a), "--no-traces"]) == 0
+    assert main(["run", str(path), "--out", str(b)]) == 0
+    hashes = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("run ")]
+    assert hashes == [config_hash(cfg)] * 2
+    for name in ("summary.csv", "manifest.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert sorted(p.name for p in a.iterdir()) == ["manifest.json", "summary.csv"]
+    assert (b / "transactions.jsonl").exists()
+
+
 def test_cli_same_seed_twice_byte_identical(tmp_path):
     cfg = tiny_config(out_dir=str(tmp_path / "out"))
     path = _write_cfg(tmp_path, cfg)
@@ -461,10 +477,12 @@ def test_cli_negative_seed_in_config_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("lagger_mean", [0.0, -2.3])
 def test_cli_non_positive_baseline_mean_exit_2(tmp_path, capsys, lagger_mean):
     # the boost divides by the lagger's baseline mean
-    cfg = preset("waiting-2peer")
-    cfg = replace(cfg, out_dir=str(tmp_path / "out"),
-                  waiting=replace(cfg.waiting, baseline_means=(2.3, lagger_mean)))
-    assert main(["run", str(_write_cfg(tmp_path, cfg))]) == 2
+    raw = json.loads(emit_config(preset("waiting-2peer")))
+    raw["out_dir"] = str(tmp_path / "out")
+    raw["waiting"]["baseline_means"] = [2.3, lagger_mean]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path)]) == 2
     assert capsys.readouterr().err == "config error: waiting.baseline_means: must be positive\n"
     assert not (tmp_path / "out").exists()
 

@@ -1,6 +1,6 @@
 """Generated-input property suites, >= 1000 cases each."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
@@ -352,3 +352,87 @@ def test_block_local_data_matches_dissemination_trace(cfg):
         for p in range(cfg.peers.count):
             assert block.local_data[p] == all(
                 p == tx.endorser or p in tx.disseminated_to for tx in block.txs)
+
+
+# -- time scaling ----------------------------------------------------------------
+#
+# Doubling every time parameter and halving every rate must double every
+# simulated time and change nothing else: scaling by a power of two is exact
+# in floating point, so the two runs draw, order and count identically. It
+# catches a hard-coded number of seconds, a unit slip or a tolerance that
+# does not scale (Chen et al., "Metamorphic Testing: A Review of Challenges
+# and Opportunities", ACM Computing Surveys 51(1), 2018). The config is built
+# in-process because `_ms` JSON is not exact.
+
+def _scale_dist(d, k):
+    return replace(d, value=d.value * k, mean=d.mean * k, std=d.std * k,
+                   samples=tuple(s * k for s in d.samples), per_tx=d.per_tx * k)
+
+
+def _scale_dists(model, k):
+    return replace(model, **{f.name: _scale_dist(getattr(model, f.name), k)
+                             for f in fields(model) if isinstance(getattr(model, f.name), D)})
+
+
+def scale_time(cfg, k):
+    """cfg with every time parameter multiplied by k and every rate divided by k."""
+    w, d, wt = cfg.workload, cfg.dissemination, cfg.waiting
+    return replace(
+        cfg, horizon=cfg.horizon * k, ordering_overhead=cfg.ordering_overhead * k,
+        workload=replace(w, rate_per_client=w.rate_per_client / k, duration=w.duration * k),
+        dissemination=replace(d, ack_timeout=d.ack_timeout * k),
+        cut_rule=replace(cfg.cut_rule, timeout=cfg.cut_rule.timeout * k),
+        endorse_model=_scale_dists(cfg.endorse_model, k),
+        commit_model=_scale_dists(cfg.commit_model, k),
+        waiting=replace(wt, boosted_mean=wt.boosted_mean * k,
+                        baseline_means=tuple(m * k for m in wt.baseline_means)))
+
+
+def _doubled(a, b, names):
+    """b's time fields are exactly twice a's; -1.0 marks a time never reached."""
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
+        assert y == 2.0 * x or x == y == -1.0, (name, x, y)
+
+
+_TX_SAME = ("tx_id", "client_id", "endorser", "retries_used", "holders", "disseminated_to",
+            "block_num", "block_pos", "status", "drop_reason")
+_TX_TIMES = ("created_at", "endorse_start", "endorse_end", "quorum_wait")
+_BLOCK_TIMES = ("first_enqueued_at", "cut_at", "creation_time", "first_commit_at")
+_PHASE_TIMES = ("p1_start", "p1_end", "p2_start", "p2_end")
+
+
+@CASES
+@given(st.one_of(scenario(), waiting_scenario()))
+def test_time_scaling_doubles_every_time(cfg):
+    a = run_scenario(cfg)
+    b = run_scenario(scale_time(cfg, 2.0))
+    assert b.counters == a.counters
+    assert (b.status, b.n_blocks, b.invalid_by_prob) == (a.status, a.n_blocks, a.invalid_by_prob)
+    _doubled(a, b, ("makespan", "last_commit_at"))
+    assert b.eligible_multi_fraction == a.eligible_multi_fraction
+    assert b.throughput.time_ratio == a.throughput.time_ratio
+    for name in ("e2e_tps", "commit_tps", "endorsement_tps"):
+        assert 2.0 * getattr(b.throughput, name) == getattr(a.throughput, name), name
+    assert b.summaries.keys() == a.summaries.keys()
+    for stage, sa in a.summaries.items():
+        sb = b.summaries[stage]
+        assert (sb.stage, sb.count) == (sa.stage, sa.count)
+        _doubled(sa, sb, ("mean", "std", "p50", "p95", "p99"))
+    assert b.per_peer_commit_mean == [2.0 * m for m in a.per_peer_commit_mean]
+    assert b.tx_parents == a.tx_parents
+    assert len(b.tx_trace) == len(a.tx_trace)
+    for ta, tb in zip(a.tx_trace, b.tx_trace):
+        assert [getattr(tb, n) for n in _TX_SAME] == [getattr(ta, n) for n in _TX_SAME]
+        _doubled(ta, tb, _TX_TIMES)
+    assert len(b.block_trace) == len(a.block_trace)
+    for (ba, pa), (bb, pb) in zip(a.block_trace, b.block_trace):
+        assert (bb.block_num, bb.local_data) == (ba.block_num, ba.local_data)
+        assert [tx.tx_id for tx in bb.txs] == [tx.tx_id for tx in ba.txs]
+        _doubled(ba, bb, _BLOCK_TIMES)
+        assert [(t.block_num, t.peer_id) for t in pb] == [(t.block_num, t.peer_id) for t in pa]
+        for ta, tb in zip(pa, pb):
+            _doubled(ta, tb, _PHASE_TIMES)
+    assert ([(e.kind, e.leader, e.lagger, e.gap) for e in b.wait_events]
+            == [(e.kind, e.leader, e.lagger, e.gap) for e in a.wait_events])
+    assert [e.at for e in b.wait_events] == [2.0 * e.at for e in a.wait_events]
