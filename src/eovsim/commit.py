@@ -126,8 +126,7 @@ class Peer:
     def _on_p1_done(self) -> None:
         self.p1_busy = False
         self.p1_next += 1
-        if self.mode == "pipelined":
-            self._maybe_start_p1()
+        self._maybe_start_p1()  # a serial peer waits at its height guard
         self._maybe_start_p2()
 
     def _maybe_start_p2(self) -> None:

@@ -365,6 +365,9 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     if cfg.cut_rule.timeout <= 0:
         e.append("cut_rule.timeout: must be > 0")
 
+    for name in ("execute", "overhead", "ack"):  # sampled per transaction, not per block
+        if getattr(cfg.endorse_model, name).per_tx:
+            e.append(f"endorse_model.{name}.per_tx: must be 0 outside the commit stages")
     if cfg.commit_mode not in COMMIT_MODES:
         e.append(f"commit_mode: {cfg.commit_mode!r} not in {COMMIT_MODES}")
     if cfg.commit_model.vscc_core_scale <= 0:

@@ -150,16 +150,10 @@ class EndorsementSystem:
             peer.buffer.append(tx)
 
     def _drop(self, tx: Transaction, reason: str) -> None:
-        """Drop tx for reason, capacity or quorum: count it and take it out
-        of the dependency candidates."""
+        """Drop tx for reason, capacity or quorum, and take it out of the
+        dependency candidates."""
         tx.status = TxStatus.DROPPED
         tx.drop_reason = reason
-        counters = self.sim.counters
-        counters.dropped += 1
-        if reason == "capacity":
-            counters.dropped_capacity += 1
-        else:
-            counters.dropped_quorum += 1
         self.sim.source.pool.discard(tx.tx_id)
 
     # -- endorsement execution -------------------------------------------
@@ -180,8 +174,7 @@ class EndorsementSystem:
             # exceeded the timeout were missing for the quorum but the ack
             # (and the payload) still lands before the block is cut
             tx.holders = holders
-            if self.sim.collect_traces:
-                tx.disseminated_to = targets
+            tx.disseminated_to = targets
         kernel.schedule(now + total, EventKind.ENDORSE_DONE,
                         partial(self._complete, peer, tx, ok))
 
@@ -216,7 +209,6 @@ class EndorsementSystem:
         tx.endorse_end = sim.kernel.now
         if ok:
             tx.status = TxStatus.ENDORSED
-            sim.counters.endorsed += 1
             sim.orderer.enqueue_endorsed(tx)
         else:
             self._drop(tx, "quorum")

@@ -21,7 +21,6 @@ __all__ = [
     "SchedulingError",
     "SimulationIntegrityError",
     "EventKind",
-    "Event",
     "SimKernel",
     "DistributionSpec",
     "FAMILY_PARAMS",
@@ -52,32 +51,20 @@ class EventKind(Enum):
     GENERIC = "generic"
 
 
-class Event:
-    """One scheduled event; schedule() returns it as the handle to cancel it.
-
-    The heap holds (fire_at, seq, event). Cancelling drops the callback, so
-    the loop skips the entry and pending() does not count it.
-    """
-
-    __slots__ = ("callback",)
-
-    def __init__(self, callback: Callable[[], None] | None):
-        self.callback = callback
-
-    def cancel(self) -> None:
-        self.callback = None
-
-
 class SimKernel:
-    """Single-threaded event loop with a monotone virtual clock (seconds)."""
+    """Single-threaded event loop with a monotone virtual clock (seconds).
+
+    The heap holds [fire_at, seq, callback] entries; schedule() returns the
+    entry as the handle that cancel() takes.
+    """
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[list] = []
         self._seq = 0
         self.dispatched = 0
 
-    def schedule(self, fire_at: float, kind: EventKind, callback: Callable[[], None]) -> Event:
+    def schedule(self, fire_at: float, kind: EventKind, callback: Callable[[], None]) -> list:
         """Queue callback to run at fire_at.
 
         The loop does not read kind; it names the event for outside tools,
@@ -85,14 +72,18 @@ class SimKernel:
         """
         if fire_at < self.now:
             raise SchedulingError(f"event scheduled at {fire_at} before now={self.now}")
-        event = Event(callback)
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (fire_at, seq, event))
-        return event
+        entry = [fire_at, self._seq, callback]
+        self._seq += 1
+        heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, entry: list) -> None:
+        """Drop entry's callback: the loop skips it and pending() does not
+        count it. Cancelling an event that already fired does nothing."""
+        entry[2] = None
 
     def pending(self) -> int:
-        return sum(1 for _, _, e in self._heap if e.callback is not None)
+        return sum(1 for entry in self._heap if entry[2] is not None)
 
     def run_until(self, t_end: float = math.inf) -> float:
         """Dispatch every event with fire_at <= t_end, in (fire_at, seq) order.
@@ -105,8 +96,7 @@ class SimKernel:
         heap = self._heap
         dispatched_any = False
         while heap and heap[0][0] <= t_end:
-            fire_at, _, event = heappop(heap)
-            callback = event.callback
+            fire_at, _, callback = heappop(heap)
             if callback is None:
                 continue
             self.now = fire_at

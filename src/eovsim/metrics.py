@@ -38,8 +38,6 @@ class RunCounters:
             raise SimulationIntegrityError(
                 f"conservation violated: created {self.created} != "
                 f"endorsed {self.endorsed} + dropped {self.dropped}")
-        if self.dropped != self.dropped_capacity + self.dropped_quorum + self.dropped_horizon:
-            raise SimulationIntegrityError("drop sub-labels do not add up")
         if self.endorsed != (self.committed_valid + self.committed_invalid_mvcc
                              + self.in_flight_at_horizon):
             raise SimulationIntegrityError(

@@ -84,10 +84,10 @@ class Orderer:
         timeout fires only on a non-empty queue. The first transaction was
         enqueued the instant its endorsement ended.
         """
-        if self._timeout_handle is not None:
-            self._timeout_handle.cancel()
-            self._timeout_handle = None
         sim = self.sim
+        if self._timeout_handle is not None:
+            sim.kernel.cancel(self._timeout_handle)
+            self._timeout_handle = None
         now = sim.kernel.now
         txs = self.queue
         block = Block(len(self.blocks) + 1, txs, txs[0].endorse_end, now)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import __version__ as _version
@@ -46,8 +47,6 @@ class Simulation:
         self.config = config
         self.kernel = SimKernel()
         self.collect_traces = collect_traces
-
-        self.counters = RunCounters()
         self.peers = [Peer(self, i) for i in range(config.peers.count)]
         self.source = ArrivalSource(self, extra_dep_probs)
         self.endorsement = EndorsementSystem(self)
@@ -103,10 +102,7 @@ class Simulation:
         makespan = self.kernel.now
         self._accrue_eligibility(makespan)
         truncated = self.kernel.pending() > 0 or not self.drained()
-
-        counters = self.counters
         txs = self.source.txs
-        counters.created = len(txs)
 
         # committed blocks form a ledger prefix (every peer commits in order)
         blocks = self.orderer.blocks
@@ -123,24 +119,28 @@ class Simulation:
                 tx.status = TxStatus.COMMITTED_VALID
         for tx in primary_invalid:
             tx.status = TxStatus.COMMITTED_INVALID
-        n_invalid = len(primary_invalid)
-        n_valid = sum(b.size for b in committed_prefix) - n_invalid
-        counters.committed_valid = n_valid
-        counters.committed_invalid_mvcc = n_invalid
-
         if truncated:
             for tx in txs:
                 if tx.status == TxStatus.CREATED:
                     tx.status = TxStatus.DROPPED
                     tx.drop_reason = "horizon"
-                    counters.dropped += 1
-                    counters.dropped_horizon += 1
+
+        # every transaction's fate is settled: count each kind once
+        fates = Counter(tx.drop_reason or tx.status for tx in txs)
+        n_valid = fates[TxStatus.COMMITTED_VALID]
+        n_invalid = fates[TxStatus.COMMITTED_INVALID]
         # the orderer takes endorsed transactions FIFO, so the blocks followed
         # by its queue hold them in endorsement order; first commits happen in
         # block order. Those past the committed prefix are in flight.
         endorsed = [tx for b in blocks for tx in b.txs]
         endorsed += self.orderer.queue
-        counters.in_flight_at_horizon = len(endorsed) - n_valid - n_invalid
+        capacity, quorum, horizon = fates["capacity"], fates["quorum"], fates["horizon"]
+        counters = RunCounters(
+            created=len(txs), endorsed=fates[TxStatus.ENDORSED] + n_valid + n_invalid,
+            dropped=capacity + quorum + horizon, dropped_capacity=capacity,
+            dropped_quorum=quorum, dropped_horizon=horizon,
+            committed_valid=n_valid, committed_invalid_mvcc=n_invalid,
+            in_flight_at_horizon=len(endorsed) - n_valid - n_invalid)
         counters.check()
 
         summaries = {}
@@ -164,13 +164,9 @@ class Simulation:
             time_ratio=(p1m / p2m) if p2m > 0 else 0.0,
         )
 
-        n = len(self.peers)
-        commit_sum = [0.0] * n
-        commit_n = [0] * n
-        for t in self._commits:
-            commit_sum[t.peer_id] += t.p1_duration + t.p2_duration
-            commit_n[t.peer_id] += 1
-        per_peer_mean = [s / k if k else 0.0 for s, k in zip(commit_sum, commit_n)]
+        # each peer commits in block order, so its sum matches commit-event order
+        per_peer_mean = [sum(t.p1_duration + t.p2_duration for t in p.timings[:p.height])
+                         / p.height if p.height else 0.0 for p in self.peers]
 
         tx_trace = tx_parents = block_trace = None
         if self.collect_traces:

@@ -18,7 +18,7 @@ from eovsim import (
     run_scenario,
     steady_state_tps,
 )
-from eovsim.presets import TABLE_PHASE_CONSTANTS
+from eovsim.presets import CORE_SCALE_GRID, TABLE_PHASE_CONSTANTS, preset
 from eovsim.workload import Transaction, TxStatus
 
 from conftest import tiny_config
@@ -257,3 +257,19 @@ def test_bench_commit_demo_output_pinned(demo):
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(Path(__file__).parent.parent / "demos" / demo), run_name="__main__")
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DEMO_STDOUT_SHA256[demo]
+
+
+@pytest.mark.parametrize("scale", CORE_SCALE_GRID)
+def test_vscc_core_scale_scales_phase1_vscc_only(scale):
+    # cores-sweep with 4 s of arrivals: two full blocks, drained
+    base = preset("cores-sweep")
+    cfg = replace(base, workload=replace(base.workload, duration=4.0),
+                  commit_model=replace(base.commit_model, vscc_core_scale=scale))
+    res = run_scenario(cfg, collect_traces=True)
+    assert res.status == "drained" and res.n_blocks == 2
+    c = TABLE_PHASE_CONSTANTS["4-4"]
+    for _, timings in res.block_trace:
+        assert len(timings) == cfg.peers.count
+        for t in timings:
+            assert math.isclose(t.p1_duration, c["vscc"] * scale + c["fetch"], rel_tol=1e-9)
+            assert math.isclose(t.p2_duration, c["p2"], rel_tol=1e-9)

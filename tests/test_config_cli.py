@@ -356,15 +356,14 @@ def test_cli_integrity_failure_exit_3(tmp_path, monkeypatch):
 
 
 def test_cli_conservation_failure_exit_3(tmp_path, monkeypatch, capsys):
-    from eovsim.endorsement import EndorsementSystem
-    orig = EndorsementSystem._complete
+    from eovsim.ordering import Orderer
+    orig = Orderer.enqueue_endorsed
 
-    def uncounted(self, peer, tx, ok):
-        orig(self, peer, tx, ok)
-        if ok and tx.tx_id == 0:
-            self.sim.counters.endorsed -= 1  # an endorsement the counters lose
+    def lost(self, tx):
+        if tx.tx_id != 0:  # tx 0's endorsement never reaches the orderer
+            orig(self, tx)
 
-    monkeypatch.setattr(EndorsementSystem, "_complete", uncounted)
+    monkeypatch.setattr(Orderer, "enqueue_endorsed", lost)
     cfg = tiny_config(out_dir=str(tmp_path / "out"))
     assert main(["run", str(_write_cfg(tmp_path, cfg))]) == 3
     assert "conservation violated" in capsys.readouterr().err

@@ -84,7 +84,7 @@ def test_cancelled_event_not_dispatched():
     k = SimKernel()
     seen = []
     handle = k.schedule(1.0, EventKind.GENERIC, lambda: seen.append("x"))
-    handle.cancel()
+    k.cancel(handle)
     k.run_until(2.0)
     assert seen == []
 
@@ -200,13 +200,13 @@ def test_cancelled_event_not_pending_and_not_counted():
     keep = k.schedule(1.0, EventKind.GENERIC, lambda: seen.append("keep"))
     drop = k.schedule(2.0, EventKind.GENERIC, lambda: seen.append("drop"))
     assert k.pending() == 2
-    drop.cancel()
+    k.cancel(drop)
     assert k.pending() == 1
     k.run_until(5.0)
     assert seen == ["keep"]
     assert k.dispatched == 1
     assert k.pending() == 0
-    keep.cancel()  # already fired: a no-op
+    k.cancel(keep)  # already fired: a no-op
     k.run_until(6.0)
     assert seen == ["keep"] and k.dispatched == 1
 
@@ -217,7 +217,7 @@ def test_cancel_after_fire_leaves_later_events_alone():
     first = k.schedule(1.0, EventKind.GENERIC, lambda: seen.append(1))
     k.schedule(3.0, EventKind.GENERIC, lambda: seen.append(3))
     k.run_until(2.0)
-    first.cancel()
+    k.cancel(first)
     assert k.pending() == 1
     k.run_until(4.0)
     assert seen == [1, 3]

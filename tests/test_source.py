@@ -9,35 +9,50 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "eovsim"
 
 
-def test_no_assert_statements_in_package():
-    # `python -O` strips assert statements; invariants must raise explicitly
+def _trees():
     paths = sorted(PACKAGE.rglob("*.py"))
     assert paths
-    found = []
     for path in paths:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
-    assert found == []
+        yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def test_validate_called_only_when_a_config_is_built():
-    # a ScenarioConfig validates itself when it is built; a second call site
-    # would be a second place to keep in step with the rules
+def _call_sites(name):
+    """(file, enclosing class and function names...) of every call to name."""
     found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path, tree in _trees():
         scopes = [(node.name, node) for node in ast.walk(tree)
                   if isinstance(node, (ast.ClassDef, ast.FunctionDef))]
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
             func = call.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "validate":
-                inner = [n for n, scope in scopes if call in ast.walk(scope)]
-                found.append((path.name, *inner))
-    assert found == [("config.py", "ScenarioConfig", "__post_init__")]
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                found.append((path.name, *(n for n, scope in scopes if call in ast.walk(scope))))
+    return found
+
+
+def test_no_assert_statements_in_package():
+    # `python -O` strips assert statements; invariants must raise explicitly
+    found = [f"{path.name}:{node.lineno}" for path, tree in _trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_validate_called_only_when_a_config_is_built():
+    # a ScenarioConfig validates itself when it is built; a second call site
+    # would be a second place to keep in step with the rules
+    assert _call_sites("validate") == [("config.py", "ScenarioConfig", "__post_init__")]
+
+
+def test_run_counters_built_once_from_transaction_fates():
+    # the counts are derived once, at the end of a run, from each
+    # transaction's fate; a counter bumped elsewhere would be a second record
+    assert _call_sites("RunCounters") == [("simulate.py", "Simulation", "_finalize")]
+    found = [f"{path.name}:{node.lineno}" for path, tree in _trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+             and "counters" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))]
+    assert found == []
 
 
 @pytest.mark.parametrize("module", ["eovsim"] + sorted(

@@ -1,5 +1,5 @@
-"""Every rule of `validate`, reached from a config file and from Python, and
-the loader's own rejections.
+"""Every rule of `validate` and of `DistributionSpec`, reached from a config
+file and from Python, and the loader's own rejections.
 
 A ScenarioConfig checks itself when it is built, so `eovsim run` on a bad
 file and `dataclasses.replace` in a script refuse the same config with the
@@ -11,9 +11,9 @@ from dataclasses import replace
 
 import pytest
 
-from eovsim import ConfigError, ScenarioConfig, emit_config, loads_config
+from eovsim import ConfigError, DistributionSpec, ScenarioConfig, emit_config, loads_config
 from eovsim.cli import main
-from eovsim.config import set_by_path, validate
+from eovsim.config import config_hash, set_by_path, validate
 
 from conftest import tiny_config
 from test_config_cli import _NON_FINITE, _schema_leaves
@@ -56,6 +56,13 @@ RULE_CASES = [
      ["cut_rule.kind: 'bogus' not in ('size_with_timeout', 'dynamic_timeout')"]),
     ({"cut_rule.block_size": 0}, ["cut_rule.block_size: must be >= 1"]),
     ({"cut_rule.timeout": 0.0}, ["cut_rule.timeout: must be > 0"]),
+    # an endorsement stage is sampled per transaction, so per_tx has no block to scale by
+    ({"endorse_model.execute.per_tx": 5.0},
+     ["endorse_model.execute.per_tx: must be 0 outside the commit stages"]),
+    ({"endorse_model.overhead.per_tx": 1.0},
+     ["endorse_model.overhead.per_tx: must be 0 outside the commit stages"]),
+    ({"endorse_model.ack.per_tx": 3.0},
+     ["endorse_model.ack.per_tx: must be 0 outside the commit stages"]),
     ({"commit_mode": "bogus"}, ["commit_mode: 'bogus' not in ('serial', 'pipelined')"]),
     ({"commit_model.vscc_core_scale": 0.0}, ["commit_model.vscc_core_scale: must be > 0"]),
     ({"ordering_overhead": -0.1}, ["ordering_overhead: must be >= 0"]),
@@ -71,16 +78,19 @@ RULE_CASES = [
 ]
 
 
-def _replaced(cfg, edits):
-    """cfg with the edits applied by dataclasses.replace, one build at the end."""
-    top = {}
+def _replaced(obj, edits):
+    """obj with the edits applied by dataclasses.replace, each object built
+    once, the outermost last."""
+    changes, nested = {}, {}
     for path, value in edits.items():
-        if "." in path:
-            section, name = path.split(".")
-            top[section] = replace(top.get(section, getattr(cfg, section)), **{name: value})
+        head, _, rest = path.partition(".")
+        if rest:
+            nested.setdefault(head, {})[rest] = value
         else:
-            top[path] = value
-    return replace(cfg, **top)
+            changes[head] = value
+    for head, sub in nested.items():
+        changes[head] = _replaced(getattr(obj, head), sub)
+    return replace(obj, **changes)
 
 
 def _rule_params():
@@ -91,8 +101,8 @@ def _rule_params():
 
 
 def test_one_case_per_rule():
-    assert len(RULE_CASES) == 31
-    assert len({tuple(errors) for _, errors in RULE_CASES}) == 31
+    assert len(RULE_CASES) == 34
+    assert len({tuple(errors) for _, errors in RULE_CASES}) == 34
     # each context on its own is valid, so only the last edit breaks a rule
     for context in (_WAIT_ON, _POOL):
         assert validate(_replaced(tiny_config(), context)) == []
@@ -136,6 +146,58 @@ def test_non_finite_rejected_when_built_in_python(path, value, bad):
     with pytest.raises(ConfigError) as err:
         _replaced(tiny_config(), {path: value})
     assert err.value.errors == [f"{path}: expected a finite number, got {json.dumps(bad)}"]
+
+
+# -- DistributionSpec's own rules -------------------------------------------------
+
+# (distribution as JSON, the ValueError DistributionSpec raises for it); the
+# loader reports it as "path: message"
+DIST_CASES = [
+    ({"family": "constant", "value": 0.1, "scale": 0.0}, "scale must be positive"),
+    ({"family": "constant", "value": 0.1, "per_tx": -0.001}, "per_tx must be non-negative"),
+    ({"family": "constant", "value": -0.1}, "constant value must be non-negative"),
+    ({"family": "exponential", "mean": 0.0}, "exponential mean must be positive"),
+    ({"family": "normal", "mean": -0.1, "std": 0.01}, "normal mean/std must be non-negative"),
+    ({"family": "normal", "mean": 0.1, "std": -0.01}, "normal mean/std must be non-negative"),
+    ({"family": "empirical", "samples": []}, "empirical sample list must be non-empty"),
+    ({"family": "empirical", "samples": [0.1, -0.2]}, "empirical samples must be non-negative"),
+]
+
+
+def _dist_params():
+    for spec, message in DIST_CASES:
+        yield pytest.param(spec, message, id=json.dumps(spec, separators=(",", ":")))
+
+
+@pytest.mark.parametrize("spec, message", list(_dist_params()))
+def test_distribution_rule_rejected_by_cli_run(tmp_path, capsys, spec, message):
+    raw = json.loads(emit_config(tiny_config(out_dir=str(tmp_path / "out"))))
+    raw["commit_model"]["vscc"] = spec
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"config error: commit_model.vscc: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec, message", list(_dist_params()))
+def test_distribution_rule_rejected_in_python(spec, message):
+    params = {k: tuple(v) if k == "samples" else v for k, v in spec.items()}
+    with pytest.raises(ValueError) as err:
+        DistributionSpec(**params)
+    assert str(err.value) == message
+
+
+def test_distribution_scale_and_per_tx_round_trip():
+    base = tiny_config()
+    cfg = replace(base, commit_model=replace(
+        base.commit_model, vscc=DistributionSpec.exponential(0.01, scale=2.5, per_tx=0.002)))
+    text = emit_config(cfg)
+    assert json.loads(text)["commit_model"]["vscc"] == {
+        "family": "exponential", "mean": 0.01, "scale": 2.5, "per_tx": 0.002}
+    loaded = loads_config(text)
+    assert loaded == cfg
+    assert config_hash(loaded) == config_hash(cfg) != config_hash(base)
 
 
 # -- the loader's own rejections ------------------------------------------------
