@@ -2,10 +2,12 @@
 pipelined.
 
 Phase 1 is VSCC validation plus private-data fetch (local when the peer holds
-every transaction's private data at phase start, remote otherwise); phase 2
-is the MVCC check, block-store update, and state-database write, which must
-run in strict block order. Pipelining overlaps phase 1 of block i+1 with
-phase 2 of block i; phase 2 of i+1 still waits for phase 2 of i.
+every transaction's private data, as settled when the block is cut, remote
+otherwise); phase 2 is the MVCC check, block-store update, and state-database
+write, which must run in strict block order. Pipelining overlaps phase 1 of
+block i+1 with phase 2 of block i; phase 2 of i+1 still waits for phase 2 of
+i. Peer.kick() is the whole rule: each delivery, phase end and pause release
+calls it, and it starts whatever the peer's phase timings allow.
 
 Transaction validity is a pure function of final ledger order: a dependent
 transaction is invalid unless its parent committed valid at a strictly
@@ -45,8 +47,8 @@ class PhaseTiming:
 
 def steady_state_tps(p1: float, p2: float, block_size: int, mode: str) -> float:
     """Closed-form saturated commit throughput (the pipelining oracle)."""
-    if p1 <= 0 and p2 <= 0:
-        raise ValueError("phase durations must be positive")
+    if p1 < 0 or p2 < 0 or p1 == p2 == 0:
+        raise ValueError("phase durations must be non-negative and not both zero")
     if mode == "serial":
         return block_size / (p1 + p2)
     if mode == "pipelined":
@@ -59,15 +61,16 @@ class Peer:
 
     EndorsementSystem fills busy and buffer and draws from the endorse,
     overhead and ack streams. The pipeline reads blocks from the orderer's
-    ledger: len(timings) counts those delivered here, and height, the
-    phase-2 cursor, those committed. The waiting controller sets paused and
-    boost_factor.
+    ledger: len(timings) counts those delivered here, p1_next those through
+    phase 1, and height, the phase-2 cursor, those committed. A phase is in
+    flight when its block's start stamp is set and the cursor has not passed
+    it, so kick() reads the whole pipeline state from the timings. The
+    waiting controller sets paused and boost_factor.
     """
 
     __slots__ = (
         "sim", "peer_id", "busy", "buffer", "commit_scale", "height",
-        "paused", "boost_factor", "model", "mode", "timings",
-        "p1_next", "p1_busy", "p2_busy",
+        "paused", "boost_factor", "model", "mode", "timings", "p1_next",
         "endorse_stream", "overhead_stream", "ack_stream",
         "_vscc", "_fetch", "_mvcc", "_store", "_statedb",
     )
@@ -93,78 +96,65 @@ class Peer:
         self._store = sim.stream(f"peer{peer_id}.block_store")
         self._statedb = sim.stream(f"peer{peer_id}.statedb")
         self.timings: list[PhaseTiming] = []
-        self.p1_next = 0            # next block index to start phase 1
-        self.p1_busy = False
-        self.p2_busy = False
+        self.p1_next = 0            # next block index to finish phase 1
 
     def on_block_delivered(self, block) -> None:
         self.timings.append(PhaseTiming(block.block_num, self.peer_id))
-        self._maybe_start_p1()
-
-    def _factor(self) -> float:
-        return self.commit_scale * self.boost_factor
-
-    def _maybe_start_p1(self) -> None:
-        if self.p1_busy or self.p1_next >= len(self.timings):
-            return
-        idx = self.p1_next
-        if self.mode == "serial" and self.height < idx:
-            return  # strict discipline: previous block must fully commit first
-        block = self.sim.orderer.blocks[idx]
-        size = block.size
-        fetch_dist = (self.model.pvt_fetch_local if block.local_data[self.peer_id]
-                      else self.model.pvt_fetch_remote)
-        dur = (self.model.vscc.sample(self._vscc, size) * self.model.vscc_core_scale
-               + fetch_dist.sample(self._fetch, size)) * self._factor()
-        self.p1_busy = True
-        now = self.sim.kernel.now
-        t = self.timings[idx]
-        t.p1_start = now
-        t.p1_end = now + dur
-        self.sim.kernel.schedule(now + dur, EventKind.PHASE1_DONE, self._on_p1_done)
+        self.kick()
 
     def _on_p1_done(self) -> None:
-        self.p1_busy = False
         self.p1_next += 1
-        self._maybe_start_p1()  # a serial peer waits at its height guard
-        self._maybe_start_p2()
+        self.kick()
 
-    def _maybe_start_p2(self) -> None:
+    def _on_p2_done(self) -> None:
         idx = self.height
-        if self.p2_busy or idx >= self.p1_next or self.paused:
-            return
-        block = self.sim.orderer.blocks[idx]
-        size = block.size
-        dur = (self.model.mvcc.sample(self._mvcc, size)
-               + self.model.block_store.sample(self._store, size)
-               + self.model.statedb.sample(self._statedb, size)) * self._factor()
         now = self.sim.kernel.now
-        prev_end = self.timings[idx - 1].p2_end if idx else 0.0
-        if now < prev_end - 1e-12:
-            raise SimulationIntegrityError(
-                f"peer {self.peer_id}: phase 2 of block {block.block_num} "
-                f"would start at {now} before previous phase 2 ended at {prev_end}")
-        self.p2_busy = True
-        t = self.timings[idx]
-        t.p2_start = now
-        t.p2_end = now + dur
-        self.sim.kernel.schedule(now + dur, EventKind.PHASE2_DONE,
-                                 lambda: self._on_p2_done(idx))
-
-    def _on_p2_done(self, idx: int) -> None:
-        if idx != self.height:
+        if not (idx < self.p1_next and self.timings[idx].p2_end == now):
             raise SimulationIntegrityError(
                 f"peer {self.peer_id}: out-of-order phase 2 completion "
-                f"(block index {idx}, expected {self.height})")
-        self.p2_busy = False
-        self.height += 1
+                f"(block index {idx}, now {now})")
+        self.height = idx + 1
         self.sim.on_commit(self.sim.orderer.blocks[idx], self.timings[idx])
         self.kick()
 
     def kick(self) -> None:
-        """Re-check both phases (pause released, or external state changed)."""
-        self._maybe_start_p1()
-        self._maybe_start_p2()
+        """Start every phase that may start now; the whole pipeline rule.
+
+        Phase 1 runs one block at a time, in block order; a serial peer also
+        waits until every earlier block has committed. Phase 2 runs block
+        height once its phase 1 is done and the peer is not paused. Every
+        event that can free a phase (delivery, a phase end, a pause release)
+        calls this.
+        """
+        sim = self.sim
+        model = self.model
+        timings = self.timings
+        now = sim.kernel.now
+        idx = self.p1_next
+        if (idx < len(timings) and timings[idx].p1_start < 0
+                and (self.mode == "pipelined" or self.height == idx)):
+            block = sim.orderer.blocks[idx]
+            size = block.size
+            fetch_dist = (model.pvt_fetch_local if block.local_data[self.peer_id]
+                          else model.pvt_fetch_remote)
+            dur = ((model.vscc.sample(self._vscc, size) * model.vscc_core_scale
+                    + fetch_dist.sample(self._fetch, size))
+                   * (self.commit_scale * self.boost_factor))
+            t = timings[idx]
+            t.p1_start = now
+            t.p1_end = now + dur
+            sim.kernel.schedule(now + dur, EventKind.PHASE1_DONE, self._on_p1_done)
+        idx = self.height
+        if idx < self.p1_next and timings[idx].p2_start < 0 and not self.paused:
+            size = sim.orderer.blocks[idx].size
+            dur = ((model.mvcc.sample(self._mvcc, size)
+                    + model.block_store.sample(self._store, size)
+                    + model.statedb.sample(self._statedb, size))
+                   * (self.commit_scale * self.boost_factor))
+            t = timings[idx]
+            t.p2_start = now
+            t.p2_end = now + dur
+            sim.kernel.schedule(now + dur, EventKind.PHASE2_DONE, self._on_p2_done)
 
 
 # ---------------------------------------------------------------------------

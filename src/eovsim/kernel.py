@@ -103,6 +103,8 @@ class SimKernel:
             dispatched_any = True
             self.dispatched += 1
             callback()
+        while heap and heap[0][2] is None:  # a cancelled event past t_end
+            heappop(heap)
         if heap or not dispatched_any:
             if math.isfinite(t_end):
                 self.now = max(self.now, t_end)

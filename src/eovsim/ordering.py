@@ -93,12 +93,17 @@ class Orderer:
         block = Block(len(self.blocks) + 1, txs, txs[0].endorse_end, now)
         self.blocks.append(block)
         pool = sim.source.pool
+        # Every ack lands before its transaction finishes endorsement, so a
+        # transaction's holders are final once it is ordered: a peer has the
+        # block's data locally iff its bit is set in every holders mask.
+        held = -1
         for pos, tx in enumerate(txs):
             tx.block_num = block.block_num
             tx.block_pos = pos
+            held &= tx.holders
             pool.discard(tx.tx_id)  # no longer a dependency candidate
+        block.local_data = [bool(held >> p & 1) for p in range(len(sim.peers))]
         self.queue = []
-        self._resolve_local_data(block)
         if self.overhead > 0:
             sim.kernel.schedule(now + self.overhead, EventKind.GENERIC,
                                 lambda: self._deliver(block))
@@ -108,15 +113,3 @@ class Orderer:
     def _deliver(self, block: Block) -> None:
         for peer in self.sim.peers:
             peer.on_block_delivered(block)
-
-    def _resolve_local_data(self, block: Block) -> None:
-        """Freeze per-peer data availability at cut time.
-
-        Every ack lands before its transaction finishes endorsement, so a
-        transaction's holders are final once it is ordered: a peer has the
-        block's data locally iff its bit is set in every holders mask.
-        """
-        held = -1
-        for tx in block.txs:
-            held &= tx.holders
-        block.local_data = [bool(held >> p & 1) for p in range(len(self.sim.peers))]

@@ -42,6 +42,20 @@ def tiny_config(**over) -> ScenarioConfig:
     return cfg
 
 
+def replay_phase2_completion(monkeypatch, height=2):
+    """Mutant: each peer handles its phase-2 completion at height twice."""
+    from eovsim.commit import Peer
+    orig = Peer._on_p2_done
+
+    def replay(self):
+        again = self.height == height
+        orig(self)
+        if again:
+            orig(self)
+
+    monkeypatch.setattr(Peer, "_on_p2_done", replay)
+
+
 @pytest.fixture
 def small_cfg():
     return tiny_config()

@@ -21,7 +21,7 @@ from eovsim import (
 from eovsim.presets import CORE_SCALE_GRID, TABLE_PHASE_CONSTANTS, preset
 from eovsim.workload import Transaction, TxStatus
 
-from conftest import tiny_config
+from conftest import replay_phase2_completion, tiny_config
 
 
 # -- steady-state oracle -------------------------------------------------------
@@ -39,6 +39,18 @@ def test_steady_state_matches_simulated_core_sweep_point():
     # 64-core balanced point: closed form within 2% of the simulated 2581
     assert math.isclose(steady_state_tps(1.54, 1.51, 4000, "pipelined"),
                         2581.0, rel_tol=0.02)
+
+
+@pytest.mark.parametrize("p1, p2", [(-1.0, 2.0), (2.0, -1.0), (0.0, 0.0), (-1.0, -1.0)])
+def test_steady_state_rejects_negative_or_zero_phases(p1, p2):
+    for mode in ("serial", "pipelined"):
+        with pytest.raises(ValueError):
+            steady_state_tps(p1, p2, 100, mode)
+
+
+def test_steady_state_one_zero_phase():
+    assert steady_state_tps(0.0, 2.0, 100, "serial") == 50.0
+    assert steady_state_tps(2.0, 0.0, 100, "pipelined") == 50.0
 
 
 # -- phase timing with constants -------------------------------------------------
@@ -215,23 +227,12 @@ def test_pipeline_safety_phase2_intervals_disjoint():
         assert a.p1_end <= a.p2_start + 1e-12
 
 
-def test_out_of_order_phase2_raises_integrity_error():
-    from eovsim.commit import Peer
-    bad = {"called": False}
-    orig = Peer._on_p2_done
-
-    def mutant(self, idx):
-        if not bad["called"] and idx == 1:
-            bad["called"] = True
-            return orig(self, idx + 1)
-        return orig(self, idx)
-
-    Peer._on_p2_done = mutant
-    try:
-        with pytest.raises(SimulationIntegrityError):
-            bench_commit(D.constant(1.0), D.constant(1.0), 10, "serial", 5, warmup=0)
-    finally:
-        Peer._on_p2_done = orig
+def test_out_of_order_phase2_raises_integrity_error(monkeypatch):
+    replay_phase2_completion(monkeypatch)
+    for mode in ("serial", "pipelined"):
+        with pytest.raises(SimulationIntegrityError,
+                           match="out-of-order phase 2 completion \\(block index 3, now "):
+            bench_commit(D.constant(1.0), D.constant(1.0), 10, mode, 5, warmup=0)
 
 
 def test_height_equals_phase2_completions(small_cfg):

@@ -14,7 +14,7 @@ from eovsim.config import set_by_path
 from eovsim.kernel import FAMILY_PARAMS
 from eovsim.presets import preset, preset_names
 
-from conftest import tiny_config
+from conftest import replay_phase2_completion, tiny_config
 
 
 def test_waiting_preset_carries_published_parameters():
@@ -344,13 +344,7 @@ def test_cli_missing_file_exit_2(tmp_path):
 
 
 def test_cli_integrity_failure_exit_3(tmp_path, monkeypatch):
-    from eovsim.commit import Peer
-    orig = Peer._on_p2_done
-
-    def mutant(self, idx):
-        return orig(self, idx + 1 if idx == 0 else idx)
-
-    monkeypatch.setattr(Peer, "_on_p2_done", mutant)
+    replay_phase2_completion(monkeypatch)
     cfg = tiny_config(out_dir=str(tmp_path / "out"))
     assert main(["run", str(_write_cfg(tmp_path, cfg))]) == 3
 

@@ -89,6 +89,15 @@ def test_cancelled_event_not_dispatched():
     assert seen == []
 
 
+def test_cancelled_event_past_t_end_leaves_clock_at_last_event():
+    # a cancelled timeout beyond the horizon does not keep the run going
+    k = SimKernel()
+    k.schedule(3.0, EventKind.GENERIC, lambda: None)
+    k.cancel(k.schedule(20.0, EventKind.GENERIC, lambda: None))
+    assert k.run_until(10.0) == 3.0
+    assert k.pending() == 0
+
+
 # -- distribution sampling ---------------------------------------------------
 
 def _stream(label="t", seed=123):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from eovsim.metrics import _f6, _json, fmt, render_report, render_summary_csv, s
 from eovsim.presets import TABLE_PHASE_CONSTANTS
 from eovsim.workload import TxStatus
 
-from conftest import tiny_config
+from conftest import replay_phase2_completion, tiny_config
 
 
 def test_success_ratio_reproduces_published_cell():
@@ -254,17 +255,11 @@ def test_sweep_failed_row_has_error_and_empty_cells(monkeypatch):
 
 def test_sweep_error_with_comma_reads_back_as_one_cell(monkeypatch):
     from eovsim import run_sweep
-    from eovsim.commit import Peer
-    orig = Peer._on_p2_done
-
-    def skip_block_2(self, idx):
-        return orig(self, idx + 1 if idx == 2 else idx)
-
-    monkeypatch.setattr(Peer, "_on_p2_done", skip_block_2)
+    replay_phase2_completion(monkeypatch)
     rows, results = run_sweep(tiny_config(), {}, seeds=[1])
     error = rows[0]["error"]
     assert results == [None]
-    assert error.endswith("out-of-order phase 2 completion (block index 3, expected 2)")
+    assert re.search(r"out-of-order phase 2 completion \(block index 3, now [0-9.]+\)$", error)
     rows.append({"status": "failed", "error": 'a "quoted",\nmulti-line\r\nerror'})
     header, *lines = csv.reader(io.StringIO(render_summary_csv(rows), newline=""))
     assert len(lines) == 2

@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import pytest
 
-from eovsim import BlockCutRule, DistributionSpec as D, SimulationIntegrityError, run_scenario
+from eovsim import BlockCutRule, DistributionSpec as D, LeaderPolicy, SimulationIntegrityError
+from eovsim import run_scenario
+from eovsim.metrics import summary_row
 from eovsim.ordering import Orderer
 from eovsim.simulate import Simulation
 
@@ -109,6 +111,21 @@ def test_ordering_overhead_delays_delivery():
     res = run_scenario(cfg, collect_traces=True)
     block, timings = res.block_trace[0]
     assert all(t.p1_start >= block.cut_at + 0.2 for t in timings)
+
+
+def test_drained_run_does_not_depend_on_horizon():
+    # the last cut cancels a timeout that lies past the shorter horizon; the
+    # cancelled entry must not hold the clock open until the horizon
+    cfg = tiny_config(leader=LeaderPolicy(kind="max_ht"),
+                      cut_rule=BlockCutRule("size_with_timeout", block_size=20, timeout=100.0))
+    rows = []
+    for horizon in (500.0, 50.0):
+        res = run_scenario(replace(cfg, horizon=horizon), collect_traces=False)
+        assert res.status == "drained"
+        row = summary_row(res)
+        del row["config_hash"]
+        rows.append(row)
+    assert rows[0] == rows[1]
 
 
 def test_lost_endorsed_transaction_raises_integrity_error(monkeypatch):

@@ -55,6 +55,13 @@ def test_run_counters_built_once_from_transaction_fates():
     assert found == []
 
 
+def test_commit_pipeline_schedules_only_from_kick():
+    # Peer.kick() is the whole pipeline rule: a phase started anywhere else
+    # would be a second copy of it
+    sites = [site for site in _call_sites("schedule") if site[0] == "commit.py"]
+    assert sites == [("commit.py", "Peer", "kick")] * 2  # phase 1, phase 2
+
+
 @pytest.mark.parametrize("module", ["eovsim"] + sorted(
     f"eovsim.{p.stem}" for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "__main__")))
 def test_every_exported_name_exists(module):
