@@ -55,9 +55,12 @@ class Orderer:
 
     def enqueue_endorsed(self, tx: Transaction) -> None:
         if not self.queue and self.rule.kind == "size_with_timeout":
-            kernel = self.sim.kernel
-            self._timeout_handle = kernel.schedule(
-                kernel.now + self.rule.timeout, EventKind.BLOCK_CUT, self.cut_block)
+            sim = self.sim
+            # the orderer holds this entry until the cut, so the entry's
+            # callback reaches the orderer only through the run's weak proxy
+            self._timeout_handle = sim.kernel.schedule(
+                sim.kernel.now + self.rule.timeout, EventKind.BLOCK_CUT,
+                lambda sim=sim: sim.orderer.cut_block())
         self.queue.append(tx)
         if self.rule.kind == "size_with_timeout" and len(self.queue) >= self.rule.block_size:
             self.cut_block()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 
@@ -40,18 +41,28 @@ class RunResult:
 
 
 class Simulation:
-    """Wires workload, endorsement, ordering, commit, and coordination."""
+    """Wires workload, endorsement, ordering, commit, and coordination.
+
+    The subsystems reach the run through a weak proxy of it, so the run's
+    objects form a tree rooted here: dropping the Simulation frees the whole
+    run at once, with no collector pass. Keep the Simulation while you use a
+    subsystem; touching the run through a subsystem after the Simulation is
+    gone raises ReferenceError. The kernel heap holds the subsystems'
+    callbacks, so no subsystem may store the Simulation, its kernel, or a
+    heap entry whose callback holds that subsystem.
+    """
 
     def __init__(self, config: ScenarioConfig, collect_traces: bool = True,
                  extra_dep_probs=()):
         self.config = config
         self.kernel = SimKernel()
         self.collect_traces = collect_traces
-        self.peers = [Peer(self, i) for i in range(config.peers.count)]
-        self.source = ArrivalSource(self, extra_dep_probs)
-        self.endorsement = EndorsementSystem(self)
-        self.orderer = Orderer(self)
-        self.controller = WaitingController(self)
+        sim = weakref.proxy(self)
+        self.peers = [Peer(sim, i) for i in range(config.peers.count)]
+        self.source = ArrivalSource(sim, extra_dep_probs)
+        self.endorsement = EndorsementSystem(sim)
+        self.orderer = Orderer(sim)
+        self.controller = WaitingController(sim)
         self._commits: list = []  # PhaseTiming of every commit event, in event order
         # peers that may endorse at the current heights; heights change only
         # on a commit, so on_commit refreshes it

@@ -20,8 +20,11 @@ __all__ = ["expand_grid", "run_sweep"]
 def expand_grid(base: ScenarioConfig, grid: dict, seeds) -> list[ScenarioConfig]:
     """All grid-point configs, in deterministic order.
 
-    Raises ConfigError when a seeded config is invalid (a negative seed).
+    Raises ConfigError when a seeded config is invalid (a negative seed), or
+    for a `seed` grid key, which each of `seeds` would overwrite.
     """
+    if "seed" in grid:
+        raise ConfigError(["seed: not a grid key; give the seeds as `seeds` (--seeds)"])
     keys = sorted(grid)
     combos = itertools.product(*(grid[k] for k in keys)) if keys else [()]
     configs = []

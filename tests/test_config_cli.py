@@ -451,6 +451,16 @@ def test_cli_sweep_integer_and_float_grid_value_same_config_hash(tmp_path):
     assert rows[0]["config_hash"] == rows[1]["config_hash"]
 
 
+def test_cli_sweep_seed_grid_key_exit_2(tmp_path, capsys):
+    # --seeds would overwrite every grid seed, writing identical rows
+    out = tmp_path / "sw"
+    assert main(["sweep", "preset:waiting-2peer", "--grid", "seed=1,2",
+                 "--seeds", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: seed: not a grid key") and "--seeds" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seeds", ["5..1", ","])
 def test_cli_sweep_empty_seed_selection_exit_2(tmp_path, capsys, seeds):
     path = _write_cfg(tmp_path, tiny_config())

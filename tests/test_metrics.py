@@ -1,9 +1,11 @@
 import csv
+import gc
 import io
 import json
 import math
 import re
 import sys
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -12,9 +14,11 @@ from hypothesis import example, given, settings, strategies as st
 from eovsim import DisseminationStrategy, LeaderPolicy, PeerGroupConfig, WaitingPolicy
 from eovsim import DistributionSpec as D
 from eovsim import LatencySummary, bench_commit, emit_report, run_scenario, success_ratio
+from eovsim.config import ConfigError
 from eovsim.kernel import SimulationIntegrityError
 from eovsim.metrics import _f6, _json, fmt, render_report, render_summary_csv, summary_row
 from eovsim.presets import TABLE_PHASE_CONSTANTS
+from eovsim.simulate import Simulation
 from eovsim.workload import TxStatus
 
 from conftest import replay_phase2_completion, tiny_config
@@ -266,3 +270,40 @@ def test_sweep_error_with_comma_reads_back_as_one_cell(monkeypatch):
     for line, row in zip(lines, rows):
         assert len(line) == len(header)
         assert dict(zip(header, line))["error"] == row["error"]
+
+
+def test_dropped_simulation_is_freed_and_its_result_still_renders():
+    # the subsystems reach the run through a weak proxy, so reference
+    # counting frees the run as soon as its Simulation is dropped
+    sim = Simulation(tiny_config(), collect_traces=True)
+    res = sim.run()
+    ref = weakref.ref(sim)
+    peer = sim.peers[0]
+    del sim
+    assert ref() is None
+    with pytest.raises(ReferenceError):
+        peer.sim.kernel
+    assert res.tx_trace and res.block_trace
+    assert render_report(res) == render_report(run_scenario(tiny_config()))
+
+
+def test_sweep_with_failed_row_leaves_no_cyclic_garbage(monkeypatch):
+    # one run reaches height 2 and fails, the other cuts a single block
+    from eovsim import run_sweep
+    replay_phase2_completion(monkeypatch)
+    gc.collect()
+    gc.disable()
+    try:
+        rows, results = run_sweep(tiny_config(), {"workload.duration": [0.2, 1.0]}, seeds=[1])
+        assert [r["status"] for r in rows] == ["drained", "failed"]
+        assert results[1] is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_sweep_seed_grid_key_is_config_error():
+    # each of `seeds` would overwrite a grid seed, giving identical rows
+    from eovsim import run_sweep
+    with pytest.raises(ConfigError, match=r"seed: not a grid key.*--seeds"):
+        run_sweep(tiny_config(), {"seed": [1, 2]}, [5])

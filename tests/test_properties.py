@@ -1,5 +1,6 @@
 """Generated-input property suites, >= 1000 cases each."""
 
+import gc
 from dataclasses import fields, replace
 from unittest.mock import patch
 
@@ -198,14 +199,23 @@ def test_drained_run_leaves_nothing_in_flight(cfg):
     # A run whose events ran out before the horizon must be drained: the
     # dynamic cut rule stops ticking on drained(), so a premature verdict
     # strands endorsed transactions in the orderer queue.
-    sim = Simulation(cfg, collect_traces=False)
-    res = sim.run()
-    if sim.kernel.pending() == 0:
-        assert res.status == "drained"
-    if res.status == "drained":
-        assert not any(p.busy or p.buffer for p in sim.peers)
-        assert not sim.orderer.queue
-        assert not any(tx.status == TxStatus.CREATED for tx in sim.source.txs)
+    # With the collector off, dropping the run must free all of it, drained
+    # or truncated: a reference cycle would leave it for gc.collect().
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulation(cfg, collect_traces=False)
+        res = sim.run()
+        if sim.kernel.pending() == 0:
+            assert res.status == "drained"
+        if res.status == "drained":
+            assert not any(p.busy or p.buffer for p in sim.peers)
+            assert not sim.orderer.queue
+            assert not any(tx.status == TxStatus.CREATED for tx in sim.source.txs)
+        del sim
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @CASES
