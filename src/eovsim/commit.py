@@ -218,8 +218,10 @@ def bench_commit(p1_dist, p2_dist, block_size: int, mode: str, n_blocks: int,
     timings = peer.timings
     t0 = timings[warmup - 1].p2_end if warmup else 0.0
     elapsed = timings[-1].p2_end - t0
+    if elapsed <= 0:
+        raise ValueError("phase durations must not both be zero")
     tps = (n_blocks - warmup) * block_size / elapsed
     p1_mean = sum(t.p1_duration for t in timings) / n_blocks
     p2_mean = sum(t.p2_duration for t in timings) / n_blocks
     return {"tps": tps, "p1_mean": p1_mean, "p2_mean": p2_mean,
-            "time_ratio": p1_mean / p2_mean, "timings": timings}
+            "time_ratio": p1_mean / p2_mean if p2_mean > 0 else 0.0, "timings": timings}

@@ -1,8 +1,9 @@
 """Endorsement: leader selection, gateway admission, execution, dissemination.
 
-A transaction is routed to one endorsing peer under the configured policy,
-waits in the gateway buffer if all concurrency slots are taken (dropped when
-both are full), then endorses for `execute + quorum_wait + overhead` seconds.
+A transaction is routed to one endorsing peer under the configured policy
+and joins its gateway buffer (dropped when every candidate is full), and
+EndorsementSystem.fill, the whole admission rule, starts it on a free slot.
+It endorses for `execute + quorum_wait + overhead` seconds.
 Private data is pushed to m target peers during endorsement; the quorum rule
 decides how long the endorser waits on acknowledgments, and a round that
 misses its quorum is retried with fresh targets after the ack timeout.
@@ -77,7 +78,7 @@ def _rotation(peer_id: int, n_peers: int, m: int) -> list[tuple[tuple[int, ...],
     others = [q for q in range(n_peers) if q != peer_id]
     n = len(others)
     rounds = []
-    for i in range(n // gcd(m, n) if n else 0):
+    for i in range(n // gcd(m, n)):
         start = i * m % n
         targets = tuple(others[(start + k) % n] for k in range(m))
         holders = 1 << peer_id
@@ -101,6 +102,7 @@ class EndorsementSystem:
         self.ack_dist = config.endorse_model.ack
         self.concurrency = config.peers.endorse_concurrency
         self.buffer_cap = config.peers.gateway_buffer
+        self._unpulled = sim.source.unpulled
         self._rr = 0
         # each peer's next dissemination round, cycling through one period
         self._rotation = [cycle(_rotation(p.peer_id, len(peers), strategy.max_peer_count))
@@ -138,16 +140,27 @@ class EndorsementSystem:
         if peer is None:
             self._drop(tx, "capacity")
             return
-        self.admit(peer, tx)
+        peer.buffer.append(tx)
+        self.fill(peer)
 
-    def admit(self, peer: Peer, tx: Transaction) -> None:
-        """Start tx on a free slot of peer, or buffer it. Callers pick a peer
-        with room: submit through route_transaction, pool pulls while busy < C."""
-        if peer.busy < self.concurrency:
+    def fill(self, peer: Peer) -> None:
+        """Start an endorsement on each free slot of peer: the whole admission rule.
+
+        A slot takes the head of the peer's gateway buffer or, in pool mode
+        while the peer is eligible, the next unpulled transaction. After
+        every fill the pool is empty or every eligible peer is full, so a
+        completion can only hand a pool transaction to the peer it freed."""
+        buffer = peer.buffer
+        unpulled = self._unpulled
+        while peer.busy < self.concurrency:
+            if buffer:
+                tx = buffer.popleft()
+            elif unpulled and peer.peer_id in self.sim.eligible:
+                tx = unpulled.popleft()
+            else:
+                return
             peer.busy += 1
             self._begin(peer, tx)
-        else:
-            peer.buffer.append(tx)
 
     def _drop(self, tx: Transaction, reason: str) -> None:
         """Drop tx for reason, capacity or quorum, and take it out of the
@@ -212,12 +225,8 @@ class EndorsementSystem:
             sim.orderer.enqueue_endorsed(tx)
         else:
             self._drop(tx, "quorum")
-        if peer.buffer:
-            nxt = peer.buffer.popleft()
-            self._begin(peer, nxt)
-        else:
-            peer.busy -= 1
-            sim.source.pull()
+        peer.busy -= 1
+        self.fill(peer)
         if peer.busy + len(peer.buffer) > self.concurrency + self.buffer_cap:
             raise SimulationIntegrityError(
                 f"peer {peer.peer_id}: {peer.busy} busy + {len(peer.buffer)} buffered "

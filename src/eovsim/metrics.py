@@ -234,12 +234,11 @@ def _report_files(result):
     """(name, lines) for each report file; render_report joins the lines and
     emit_report streams them to disk."""
     yield "summary.csv", (render_summary_csv([summary_row(result)]),)
-    yield "manifest.json", (json.dumps({
-        "config_hash": result.config_hash,
-        "seed": result.config.seed,
-        "tool": "eovsim",
-        "version": result.version,
-    }, sort_keys=True, indent=2) + "\n",)
+    # a template, as the traces are: json.dumps with indent leaves a
+    # reference cycle behind on every call
+    yield "manifest.json", (f'{{\n  "config_hash": {json.dumps(result.config_hash)},\n'
+                            f'  "seed": {json.dumps(result.config.seed)},\n  "tool": "eovsim",\n'
+                            f'  "version": {json.dumps(result.version)}\n}}\n',)
     if result.tx_trace is not None:
         yield "transactions.jsonl", _tx_lines(result)
         yield "blocks.jsonl", _block_lines(result)

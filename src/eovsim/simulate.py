@@ -86,7 +86,8 @@ class Simulation:
         self.controller.on_commit_event()
         self._accrue_eligibility(now)
         self.eligible = eligible_endorsers(self.config.leader, [p.height for p in self.peers])
-        self.source.pull()
+        for i in self.eligible:
+            self.endorsement.fill(self.peers[i])
 
     # -- eligibility accounting -----------------------------------------------
 
@@ -105,7 +106,8 @@ class Simulation:
     def run(self) -> RunResult:
         self.source.start()
         self.orderer.start()
-        self.source.pull()
+        for i in self.eligible:
+            self.endorsement.fill(self.peers[i])
         self.kernel.run_until(self.config.horizon)
         return self._finalize()
 

@@ -3,7 +3,8 @@
 Deterministic arrivals emit one transaction every 1/rate seconds per client
 starting at t = 1/rate; poisson arrivals draw exponential gaps. Pool mode
 (used by the two-peer coordination scenario) makes a fixed batch of
-transactions available at t = 0 to be pulled by idle eligible endorsers.
+transactions available at t = 0; they wait in ArrivalSource.unpulled until
+EndorsementSystem.fill starts them on free slots of eligible endorsers.
 
 A new transaction becomes dependent on a prior one with probability p; the
 parent is drawn uniformly from the transactions that are still ahead of the
@@ -17,6 +18,7 @@ parents sequence, so a probability's parents match a standalone run at it.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
 
 from .kernel import EventKind, RngStream
@@ -109,7 +111,8 @@ class ArrivalSource:
 
     For rate-driven modes each client is a self-rescheduling chain of arrival
     events, so the pending-event count stays O(num_clients). In pool mode
-    eligible peers pull transactions as they free slots. parents maps each
+    the batch waits in unpulled, in creation order, for free slots of
+    eligible peers (see EndorsementSystem.fill). parents maps each
     dependency probability, the configured one first, to its parents
     sequence: parents[p][tx_id] is the parent id or None.
     """
@@ -122,8 +125,7 @@ class ArrivalSource:
         self.txs: list[Transaction] = []
         self._active_clients = 0
         self._pooled = workload_cfg.arrival_process == "pool"
-        self._pool_cursor = 0  # pool mode: txs[cursor:] are still unpulled
-        self._concurrency = sim.config.peers.endorse_concurrency
+        self.unpulled: deque[Transaction] = deque()
         # deterministic arrivals: exactly rate*duration per client, at k/rate
         # for k = 1..n
         self._per_client = int(round(workload_cfg.rate_per_client * workload_cfg.duration))
@@ -137,7 +139,7 @@ class ArrivalSource:
         cfg = self.cfg
         if self._pooled:
             for _ in range(cfg.pool_size):
-                self._create(client_id=0, at=0.0)
+                self.unpulled.append(self._create(client_id=0, at=0.0))
             return
         self._active_clients = cfg.num_clients
         self._gap_streams = [self.sim.stream(f"workload.arrivals.c{client}")
@@ -176,27 +178,5 @@ class ArrivalSource:
         self.txs.append(tx)
         return tx
 
-    # -- pool mode -----------------------------------------------------------
-
-    def pull(self) -> None:
-        """Fill the free slots of the eligible peers, in eligible order, from
-        the unpulled transactions (pool mode only)."""
-        if not self._pooled or self._pool_cursor >= len(self.txs):
-            return
-        sim = self.sim
-        txs = self.txs
-        admit = sim.endorsement.admit
-        cap = self._concurrency
-        for i in sim.eligible:
-            peer = sim.peers[i]
-            while peer.busy < cap:
-                if self._pool_cursor >= len(txs):
-                    return
-                tx = txs[self._pool_cursor]
-                self._pool_cursor += 1
-                admit(peer, tx)
-
     def exhausted(self) -> bool:
-        if self._pooled:
-            return self._pool_cursor >= len(self.txs)
-        return self._active_clients == 0
+        return self._active_clients == 0 and not self.unpulled

@@ -53,6 +53,17 @@ def test_steady_state_one_zero_phase():
     assert steady_state_tps(2.0, 0.0, 100, "pipelined") == 50.0
 
 
+@pytest.mark.parametrize("mode", ["serial", "pipelined"])
+def test_bench_commit_zero_phase(mode):
+    # a zero phase 2 gives time ratio 0, as a run's summary does; two zero
+    # phases have no throughput, as steady_state_tps says
+    res = bench_commit(D.constant(1.0), D.constant(0.0), 10, mode, 20)
+    assert res["time_ratio"] == 0.0
+    assert res["tps"] == steady_state_tps(1.0, 0.0, 10, mode) == 10.0
+    with pytest.raises(ValueError):
+        bench_commit(D.constant(0.0), D.constant(0.0), 10, mode, 20)
+
+
 # -- phase timing with constants -------------------------------------------------
 
 def test_phase1_duration_constant_stages():

@@ -162,26 +162,31 @@ def test_all_policy_never_drops_with_free_peer():
 def test_admit_slots_then_buffer_then_drop():
     sim = _sim()
     es = sim.endorsement
-    peer = es.peers[0]
+    peer, *others = es.peers
     c, b = sim.config.peers.endorse_concurrency, sim.config.peers.gateway_buffer
-    peer.busy = c - 1
-    es.admit(peer, Transaction(0, 0, 0.0))
-    assert peer.busy == c and not peer.buffer
-    t1 = Transaction(1, 0, 0.0)
-    es.admit(peer, t1)
-    assert t1 in peer.buffer and len(peer.buffer) == 1
-    for i in range(2, b + 1):
-        es.admit(peer, Transaction(i, 0, 0.0))
-    assert len(peer.buffer) == b
-    # routing only admits to a peer with room, so the overflow is dropped at
-    # submit once every peer is full
-    for other in es.peers[1:]:
+    # routing only admits to a peer with room: with the others full, every
+    # submission goes to peer, and the overflow is dropped once it is full too
+    for other in others:
         other.busy = c
         other.buffer.extend([None] * b)
+    peer.busy = c - 1
+    es.submit(Transaction(0, 0, 0.0))
+    assert peer.busy == c and not peer.buffer
+    t1 = Transaction(1, 0, 0.0)
+    es.submit(t1)
+    assert t1 in peer.buffer and len(peer.buffer) == 1
+    for i in range(2, b + 1):
+        es.submit(Transaction(i, 0, 0.0))
+    assert len(peer.buffer) == b
     overflow = Transaction(b + 1, 0, 0.0)
     es.submit(overflow)
     assert overflow.status == TxStatus.DROPPED
     assert overflow.drop_reason == "capacity"
+    # a freed slot takes the head of the buffer
+    peer.busy -= 1
+    es.fill(peer)
+    assert peer.busy == c and len(peer.buffer) == b - 1
+    assert t1 not in peer.buffer and t1.endorse_start == 0.0
 
 
 # -- endorse timing ----------------------------------------------------------------

@@ -302,6 +302,22 @@ def test_sweep_with_failed_row_leaves_no_cyclic_garbage(monkeypatch):
         gc.enable()
 
 
+def test_render_report_leaves_no_cyclic_garbage():
+    # every report file is rendered from a template; json.dumps with indent
+    # would leave its encoder's closures behind as a reference cycle
+    res = run_scenario(tiny_config(), collect_traces=True)
+    gc.collect()
+    gc.disable()
+    try:
+        files = render_report(res)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    manifest = {"config_hash": res.config_hash, "seed": res.config.seed,
+                "tool": "eovsim", "version": res.version}
+    assert files["manifest.json"] == json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+
+
 def test_sweep_seed_grid_key_is_config_error():
     # each of `seeds` would overwrite a grid seed, giving identical rows
     from eovsim import run_sweep

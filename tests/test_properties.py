@@ -48,7 +48,7 @@ def _dist(draw):
 
 @st.composite
 def scenario(draw, leader_kinds=LEADER_KINDS,
-             allow_truncation=True):
+             allow_truncation=True, pool=False):
     n = draw(st.integers(2, 4))
     m = draw(st.integers(1, n - 1))
     relaxed = draw(st.booleans())
@@ -56,16 +56,22 @@ def scenario(draw, leader_kinds=LEADER_KINDS,
     kind = draw(st.sampled_from(leader_kinds))
     cut_kind = draw(st.sampled_from(["size_with_timeout", "dynamic_timeout"]))
     horizon = draw(st.sampled_from([0.6, 3.0, 60.0])) if allow_truncation else 60.0
-    return ScenarioConfig(
-        seed=draw(st.integers(0, 2 ** 32 - 1)),
-        horizon=horizon,
-        workload=WorkloadConfig(
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if pool:
+        workload = WorkloadConfig(arrival_process="pool", pool_size=draw(st.integers(1, 60)),
+                                  dependency_prob=draw(st.floats(0.0, 1.0)))
+    else:
+        workload = WorkloadConfig(
             num_clients=draw(st.integers(1, 2)),
             rate_per_client=draw(st.floats(10.0, 60.0)),
             duration=draw(st.floats(0.3, 1.0)),
             dependency_prob=draw(st.floats(0.0, 1.0)),
             arrival_process=draw(st.sampled_from(["deterministic", "poisson"])),
-        ),
+        )
+    return ScenarioConfig(
+        seed=seed,
+        horizon=horizon,
+        workload=workload,
         peers=PeerGroupConfig(
             count=n,
             commit_scales=tuple(draw(st.floats(0.5, 2.0)) for _ in range(n)),
@@ -93,12 +99,13 @@ def scenario(draw, leader_kinds=LEADER_KINDS,
 
 
 @st.composite
-def waiting_scenario(draw):
-    """Waiting-enabled scenarios with uneven peers, so gaps open and close."""
+def waiting_scenario(draw, pool=None):
+    """Waiting-enabled scenarios with uneven peers, so gaps open and close;
+    pool-mode only when pool is true."""
     n = draw(st.integers(2, 4))
     tau = draw(st.integers(1, 3))
     scales = tuple(draw(st.floats(0.5, 3.0)) for _ in range(n))
-    if draw(st.booleans()):
+    if draw(st.booleans()) if pool is None else pool:
         workload = WorkloadConfig(arrival_process="pool", pool_size=draw(st.integers(50, 200)))
         cut = BlockCutRule(kind="dynamic_timeout", timeout=draw(st.floats(0.02, 0.2)))
     else:
@@ -340,6 +347,44 @@ def test_eligibility_soundness(cfg):
     with patch.object(EndorsementSystem, "route_transaction", checked_route):
         res = run_scenario(cfg, collect_traces=False)
     assert calls == res.counters.created  # every arrival is routed once
+
+
+@CASES
+@given(st.one_of(waiting_scenario(pool=True), scenario(pool=True)))
+def test_pool_admission_keeps_eligible_slots_busy(cfg):
+    # pool mode never routes, so this is where eligibility reaches it: a
+    # pool transaction starts only on an eligible peer, and after every
+    # completion and every commit the pool is empty or every eligible peer
+    # is full. Checked by wrapping, outside EndorsementSystem.fill.
+    begin, complete = EndorsementSystem._begin, EndorsementSystem._complete
+    on_commit = Simulation.on_commit
+    concurrency = cfg.peers.endorse_concurrency
+    started = 0
+
+    def saturated(sim):
+        assert (not sim.source.unpulled
+                or all(sim.peers[i].busy == concurrency for i in sim.eligible))
+
+    def checked_begin(system, peer, tx):
+        nonlocal started
+        started += 1
+        assert peer.peer_id in system.sim.eligible
+        begin(system, peer, tx)
+
+    def checked_complete(system, peer, tx, ok):
+        complete(system, peer, tx, ok)
+        saturated(system.sim)
+
+    def checked_commit(sim, block, timing):
+        on_commit(sim, block, timing)
+        saturated(sim)
+
+    with patch.object(EndorsementSystem, "_begin", checked_begin), \
+            patch.object(EndorsementSystem, "_complete", checked_complete), \
+            patch.object(Simulation, "on_commit", checked_commit):
+        sim = Simulation(cfg, collect_traces=False)
+        sim.run()
+    assert started == sum(tx.endorse_start >= 0 for tx in sim.source.txs) > 0
 
 
 @CASES

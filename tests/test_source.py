@@ -16,19 +16,26 @@ def _trees():
         yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _call_sites(name):
-    """(file, enclosing class and function names...) of every call to name."""
+def _sites(match):
+    """(file, enclosing class and function names...) of every node match accepts."""
     found = []
     for path, tree in _trees():
         scopes = [(node.name, node) for node in ast.walk(tree)
                   if isinstance(node, (ast.ClassDef, ast.FunctionDef))]
-        for call in ast.walk(tree):
-            if not isinstance(call, ast.Call):
-                continue
-            func = call.func
-            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
-                found.append((path.name, *(n for n, scope in scopes if call in ast.walk(scope))))
+        for node in ast.walk(tree):
+            if match(node):
+                found.append((path.name, *(n for n, scope in scopes if node in ast.walk(scope))))
     return found
+
+
+def _call_sites(name):
+    """(file, enclosing class and function names...) of every call to name."""
+    def calls(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
+    return _sites(calls)
 
 
 def test_no_assert_statements_in_package():
@@ -60,6 +67,22 @@ def test_commit_pipeline_schedules_only_from_kick():
     # would be a second copy of it
     sites = [site for site in _call_sites("schedule") if site[0] == "commit.py"]
     assert sites == [("commit.py", "Peer", "kick")] * 2  # phase 1, phase 2
+
+
+def test_endorsements_start_only_from_fill():
+    # EndorsementSystem.fill is the whole admission rule: an endorsement
+    # started, or a slot taken, anywhere else would be a second copy of it
+    fill = ("endorsement.py", "EndorsementSystem", "fill")
+    assert _call_sites("_begin") == [fill]
+    stores = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "busy"
+                    and isinstance(node.ctx, ast.Store))
+    assert sorted(stores) == [("commit.py", "Peer", "__init__"),  # busy = 0
+                              ("endorsement.py", "EndorsementSystem", "_complete"),  # -= 1
+                              fill]
+    increments = _sites(lambda node: isinstance(node, ast.AugAssign)
+                        and isinstance(node.op, ast.Add)
+                        and getattr(node.target, "attr", None) == "busy")
+    assert increments == [fill]
 
 
 @pytest.mark.parametrize("module", ["eovsim"] + sorted(
