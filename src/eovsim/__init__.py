@@ -44,7 +44,7 @@ from .metrics import (
     success_ratio,
 )
 from .simulate import RunResult, Simulation, run_scenario
-from .workload import InFlightPool, Transaction, TxStatus, draw_parent
+from .workload import InFlightPool, TxStatus, TxStore, draw_parent
 from . import presets
 from .sweep import run_sweep
 
@@ -62,6 +62,6 @@ __all__ = [
     "RunCounters", "LatencySummary", "ThroughputSummary",
     "success_ratio", "emit_report",
     "Simulation", "RunResult", "run_scenario",
-    "Transaction", "TxStatus", "InFlightPool", "draw_parent",
+    "TxStatus", "TxStore", "InFlightPool", "draw_parent",
     "presets", "run_sweep",
 ]

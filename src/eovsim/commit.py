@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 from .kernel import EventKind, SimulationIntegrityError
 from .workload import TxStatus
 
@@ -160,32 +162,26 @@ class Peer:
 # ---------------------------------------------------------------------------
 # Validity
 
-def assign_validity(blocks, txs, parents) -> list:
-    """Walk the ledger in order; return the transactions MVCC invalidates.
+def assign_validity(ledger, txs, parents):
+    """The ids of the committed transactions MVCC invalidates, in ledger order.
 
     A dependent transaction is invalid iff its parent is still in flight at
     the dependent's commit: not dropped, and not ordered at a strictly
     earlier ledger position. Ledger position is (block_num, block_pos), so
-    the check is a direct comparison.
+    the check is one comparison over the columns.
 
-    txs: all transactions indexed by tx_id. parents: the parents sequence of
-    one dependency probability, parents[tx_id] = parent id or None. Every
-    other transaction of the blocks is valid; statuses are left untouched.
+    ledger: the committed transactions' ids in ledger order, a numpy array.
+    txs: the run's TxStore. parents: one dependency probability's parents
+    column. Every other transaction of the ledger is valid; statuses are left
+    untouched.
     """
-    invalid = []
-    dropped = TxStatus.DROPPED
-    for block in blocks:
-        bnum = block.block_num
-        for tx in block.txs:
-            parent = parents[tx.tx_id]
-            if parent is None:
-                continue
-            par = txs[parent]
-            pb = par.block_num
-            if not ((pb != -1 and (pb < bnum or (pb == bnum and par.block_pos < tx.block_pos)))
-                    or par.status == dropped):
-                invalid.append(tx)
-    return invalid
+    par = np.frombuffer(parents, np.intc)[ledger]
+    child, par = ledger[par >= 0], par[par >= 0]
+    bnum, bpos = np.frombuffer(txs.block_num, np.intc), np.frombuffer(txs.block_pos, np.intc)
+    pb, cb = bnum[par], bnum[child]
+    earlier = (pb != -1) & ((pb < cb) | ((pb == cb) & (bpos[par] < bpos[child])))
+    dropped = np.frombuffer(txs.status, np.uint8)[par] >= TxStatus.DROPPED_CAPACITY
+    return child[~(earlier | dropped)]
 
 
 def bench_commit(p1_dist, p2_dist, block_size: int, mode: str, n_blocks: int,

@@ -17,7 +17,7 @@ from math import gcd
 
 from .commit import Peer
 from .kernel import EventKind, SimulationIntegrityError
-from .workload import Transaction, TxStatus
+from .workload import TxStatus
 
 __all__ = ["eligible_endorsers", "quorum_satisfied", "EndorsementSystem"]
 
@@ -67,7 +67,8 @@ def quorum_satisfied(strategy, delays, designated: int = 0):
 
 
 def _rotation(peer_id: int, n_peers: int, m: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """One period of a peer's dissemination rounds, in round order.
+    """One period of a peer's dissemination rounds, in round order: the
+    table that a transaction's TxStore.round indexes.
 
     Round i targets the m other peers from position i*m (mod the number of
     other peers) of the others in id order, so the rounds repeat every
@@ -77,14 +78,13 @@ def _rotation(peer_id: int, n_peers: int, m: int) -> list[tuple[tuple[int, ...],
     """
     others = [q for q in range(n_peers) if q != peer_id]
     n = len(others)
+    others += others  # a round's targets may wrap around
     rounds = []
     for i in range(n // gcd(m, n)):
         start = i * m % n
-        targets = tuple(others[(start + k) % n] for k in range(m))
-        holders = 1 << peer_id
-        for t in targets:
-            holders |= 1 << t
-        rounds.append((targets, targets.index(min(targets)), holders))
+        targets = tuple(others[start:start + m])
+        rounds.append((targets, targets.index(min(targets)),
+                       sum(1 << p for p in (peer_id, *targets))))
     return rounds
 
 
@@ -103,14 +103,15 @@ class EndorsementSystem:
         self.concurrency = config.peers.endorse_concurrency
         self.buffer_cap = config.peers.gateway_buffer
         self._unpulled = sim.source.unpulled
+        self.txs = txs = sim.source.txs
         self._rr = 0
-        # each peer's next dissemination round, cycling through one period
-        self._rotation = [cycle(_rotation(p.peer_id, len(peers), strategy.max_peer_count))
-                          for p in peers]
+        txs.rounds = [_rotation(p.peer_id, len(peers), strategy.max_peer_count) for p in peers]
+        # each peer's next (index, round), cycling through one period
+        self._rotation = [cycle(enumerate(rounds)) for rounds in txs.rounds]
 
     # -- routing ---------------------------------------------------------
 
-    def route_transaction(self, tx: Transaction) -> Peer | None:
+    def route_transaction(self) -> Peer | None:
         """Pick the endorsing peer, or None when the transaction is dropped.
 
         The candidates are the simulation's eligible set for the current
@@ -135,10 +136,10 @@ class EndorsementSystem:
                 return peer
         return None
 
-    def submit(self, tx: Transaction) -> None:
-        peer = self.route_transaction(tx)
+    def submit(self, tx: int) -> None:
+        peer = self.route_transaction()
         if peer is None:
-            self._drop(tx, "capacity")
+            self._drop(tx, TxStatus.DROPPED_CAPACITY)
             return
         peer.buffer.append(tx)
         self.fill(peer)
@@ -162,32 +163,27 @@ class EndorsementSystem:
             peer.busy += 1
             self._begin(peer, tx)
 
-    def _drop(self, tx: Transaction, reason: str) -> None:
-        """Drop tx for reason, capacity or quorum, and take it out of the
+    def _drop(self, tx: int, code: int) -> None:
+        """Drop tx with code, for capacity or quorum, and take it out of the
         dependency candidates."""
-        tx.status = TxStatus.DROPPED
-        tx.drop_reason = reason
-        self.sim.source.pool.discard(tx.tx_id)
+        self.txs.status[tx] = code
+        self.sim.source.pool.remove(tx)
 
     # -- endorsement execution -------------------------------------------
 
-    def _begin(self, peer: Peer, tx: Transaction) -> None:
+    def _begin(self, peer: Peer, tx: int) -> None:
         kernel = self.sim.kernel
+        txs = self.txs
         now = kernel.now
-        tx.endorser = peer.peer_id
-        tx.endorse_start = now
         execute = self.execute_dist.sample(peer.endorse_stream)
         overhead = self.overhead_dist.sample(peer.overhead_stream)
-        ok, quorum_wait, targets, holders, retries = self.disseminate(peer)
-        tx.quorum_wait = quorum_wait
-        tx.retries_used = retries
+        ok, quorum_wait, won, retries = self.disseminate(peer)
+        txs.endorser[tx] = peer.peer_id
+        txs.endorse_start[tx] = now
+        txs.quorum_wait[tx] = quorum_wait
+        txs.retries_used[tx] = retries
+        txs.round[tx] = won  # its targets get the data: a late ack lands before the cut
         total = execute + quorum_wait + (overhead if ok else 0.0)
-        if ok:
-            # every target of the winning round receives the data; acks that
-            # exceeded the timeout were missing for the quorum but the ack
-            # (and the payload) still lands before the block is cut
-            tx.holders = holders
-            tx.disseminated_to = targets
         kernel.schedule(now + total, EventKind.ENDORSE_DONE,
                         partial(self._complete, peer, tx, ok))
 
@@ -199,8 +195,8 @@ class EndorsementSystem:
         downstream). Each failed round costs the full ack timeout and is
         retried with the next targets in rotation, up to max_retries.
 
-        Returns (ok, total_quorum_wait, winning_round_targets,
-        winning_round_holders, retries_used).
+        Returns (ok, total_quorum_wait, winning_round, retries_used), where
+        winning_round indexes the peer's table of rounds, or is -1.
         """
         strategy = self.strategy
         m = strategy.max_peer_count
@@ -209,22 +205,22 @@ class EndorsementSystem:
         ack_stream = peer.ack_stream
         total_wait = 0.0
         for attempt in range(strategy.max_retries + 1):
-            targets, designated, holders = next(rotation)
+            index, (_, designated, _) = next(rotation)
             delays = [sample(ack_stream) for _ in range(m)]
             ok, wait = quorum_satisfied(strategy, delays, designated)
             if ok:
-                return True, total_wait + wait, targets, holders, attempt
+                return True, total_wait + wait, index, attempt
             total_wait += strategy.ack_timeout
-        return False, total_wait, (), 0, strategy.max_retries
+        return False, total_wait, -1, strategy.max_retries
 
-    def _complete(self, peer: Peer, tx: Transaction, ok: bool) -> None:
+    def _complete(self, peer: Peer, tx: int, ok: bool) -> None:
         sim = self.sim
-        tx.endorse_end = sim.kernel.now
+        self.txs.endorse_end[tx] = sim.kernel.now
         if ok:
-            tx.status = TxStatus.ENDORSED
+            self.txs.status[tx] = TxStatus.ENDORSED
             sim.orderer.enqueue_endorsed(tx)
         else:
-            self._drop(tx, "quorum")
+            self._drop(tx, TxStatus.DROPPED_QUORUM)
         peer.busy -= 1
         self.fill(peer)
         if peer.busy + len(peer.buffer) > self.concurrency + self.buffer_cap:

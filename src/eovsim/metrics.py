@@ -14,6 +14,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .kernel import SimulationIntegrityError
+from .workload import TxStatus
 
 __all__ = [
     "RunCounters", "LatencySummary", "ThroughputSummary",
@@ -77,7 +78,7 @@ class LatencySummary:
         if n == 0:
             return None
         mean = sum(samples) / n
-        var = sum((s - mean) ** 2 for s in samples) / n
+        var = sum((s - mean) * (s - mean) for s in samples) / n
         ordered = sorted(samples)
         return cls(stage, n, mean, math.sqrt(var),
                    _nearest_rank(ordered, 50), _nearest_rank(ordered, 95),
@@ -197,16 +198,24 @@ def _tx_lines(result):
     # first_commit_at; stamps[n] is block n's, stamps[0] is no block's (-1)
     stamps = [("-1.0", "-1.0")]
     stamps += [(_f6(b.cut_at), _f6(b.first_commit_at)) for b, _ in result.block_trace]
-    for tx, parent in zip(result.tx_trace, result.tx_parents):
-        ordered_at, committed_at = stamps[max(tx.block_num, 0)]
-        yield (f'{{"block_num":{tx.block_num},"block_pos":{tx.block_pos},"client":{tx.client_id},'
-               f'"committed_at":{committed_at},"created_at":{_f6(tx.created_at)},'
-               f'"disseminated_to":{_json(tx.disseminated_to or ())},'
-               f'"drop_reason":{_json(tx.drop_reason)},"endorse_end":{_f6(tx.endorse_end)},'
-               f'"endorse_start":{_f6(tx.endorse_start)},"endorser":{_json(tx.endorser)},'
-               f'"ordered_at":{ordered_at},"parent":{"null" if parent is None else parent},'
-               f'"quorum_wait":{_f6(tx.quorum_wait)},"retries_used":{tx.retries_used},'
-               f'"status":{_json(tx.status)},"tx_id":{tx.tx_id}}}\n')
+    txs = result.txs
+    fates = [(_json(status), _json(reason)) for status, reason in TxStatus.TEXT]
+    for tx_id, (client, created_at, endorser, endorse_start, endorse_end, quorum_wait,
+                retries, won, block_num, block_pos, code, parent) in enumerate(zip(
+            txs.client, txs.created_at, txs.endorser, txs.endorse_start, txs.endorse_end,
+            txs.quorum_wait, txs.retries_used, txs.round, txs.block_num, txs.block_pos,
+            txs.status, txs.parents[result.config.workload.dependency_prob])):
+        ordered_at, committed_at = stamps[max(block_num, 0)]
+        status, drop_reason = fates[code]
+        targets = _json(txs.rounds[endorser][won][0]) if won >= 0 else "[]"
+        yield (f'{{"block_num":{block_num},"block_pos":{block_pos},"client":{client},'
+               f'"committed_at":{committed_at},"created_at":{_f6(created_at)},'
+               f'"disseminated_to":{targets},"drop_reason":{drop_reason},'
+               f'"endorse_end":{_f6(endorse_end)},"endorse_start":{_f6(endorse_start)},'
+               f'"endorser":{"null" if endorser < 0 else endorser},'
+               f'"ordered_at":{ordered_at},"parent":{"null" if parent < 0 else parent},'
+               f'"quorum_wait":{_f6(quorum_wait)},"retries_used":{retries},'
+               f'"status":{status},"tx_id":{tx_id}}}\n')
 
 
 def _block_lines(result):
@@ -239,7 +248,7 @@ def _report_files(result):
     yield "manifest.json", (f'{{\n  "config_hash": {json.dumps(result.config_hash)},\n'
                             f'  "seed": {json.dumps(result.config.seed)},\n  "tool": "eovsim",\n'
                             f'  "version": {json.dumps(result.version)}\n}}\n',)
-    if result.tx_trace is not None:
+    if result.txs is not None:
         yield "transactions.jsonl", _tx_lines(result)
         yield "blocks.jsonl", _block_lines(result)
     if result.config.waiting.enabled:

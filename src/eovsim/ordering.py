@@ -10,8 +10,9 @@ seconds after its cut.
 
 from __future__ import annotations
 
+from array import array
+
 from .kernel import EventKind
-from .workload import Transaction
 
 __all__ = ["Block", "Orderer"]
 
@@ -20,7 +21,7 @@ class Block:
     __slots__ = ("block_num", "txs", "first_enqueued_at", "cut_at",
                  "creation_time", "local_data", "first_commit_at")
 
-    def __init__(self, block_num: int, txs: list[Transaction],
+    def __init__(self, block_num: int, txs: array,
                  first_enqueued_at: float, cut_at: float):
         self.block_num = block_num
         self.txs = txs
@@ -36,14 +37,14 @@ class Block:
 
 
 class Orderer:
-    """The ordering service: the FIFO queue of endorsed transactions, the
-    ledger of cut blocks, and their delivery to the peers."""
+    """The ordering service: the FIFO queue of endorsed transactions' ids,
+    the ledger of cut blocks, and their delivery to the peers."""
 
     def __init__(self, sim):
         self.sim = sim
         self.rule = sim.config.cut_rule
         self.overhead = sim.config.ordering_overhead
-        self.queue: list[Transaction] = []
+        self.queue = array("i")
         self.blocks: list[Block] = []
         self._timeout_handle = None
 
@@ -53,7 +54,7 @@ class Orderer:
 
     # -- enqueue -----------------------------------------------------------
 
-    def enqueue_endorsed(self, tx: Transaction) -> None:
+    def enqueue_endorsed(self, tx: int) -> None:
         if not self.queue and self.rule.kind == "size_with_timeout":
             sim = self.sim
             # the orderer holds this entry until the cut, so the entry's
@@ -92,21 +93,22 @@ class Orderer:
             sim.kernel.cancel(self._timeout_handle)
             self._timeout_handle = None
         now = sim.kernel.now
-        txs = self.queue
-        block = Block(len(self.blocks) + 1, txs, txs[0].endorse_end, now)
+        queue, store = self.queue, sim.source.txs
+        block = Block(len(self.blocks) + 1, queue, store.endorse_end[queue[0]], now)
         self.blocks.append(block)
         pool = sim.source.pool
         # Every ack lands before its transaction finishes endorsement, so a
         # transaction's holders are final once it is ordered: a peer has the
-        # block's data locally iff its bit is set in every holders mask.
+        # block's data locally iff its bit is set in the holders mask of every
+        # transaction's winning round.
         held = -1
-        for pos, tx in enumerate(txs):
-            tx.block_num = block.block_num
-            tx.block_pos = pos
-            held &= tx.holders
-            pool.discard(tx.tx_id)  # no longer a dependency candidate
+        for pos, tx in enumerate(queue):
+            store.block_num[tx] = block.block_num
+            store.block_pos[tx] = pos
+            held &= store.rounds[store.endorser[tx]][store.round[tx]][2]
+            pool.remove(tx)  # no longer a dependency candidate
         block.local_data = [bool(held >> p & 1) for p in range(len(sim.peers))]
-        self.queue = []
+        self.queue = array("i")
         if self.overhead > 0:
             sim.kernel.schedule(now + self.overhead, EventKind.GENERIC,
                                 lambda: self._deliver(block))

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import weakref
-from collections import Counter
+from array import array
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from . import __version__ as _version
 from .commit import Peer, assign_validity
@@ -14,7 +17,7 @@ from .endorsement import EndorsementSystem, eligible_endorsers
 from .kernel import RngStream, SimKernel
 from .metrics import STAGES, LatencySummary, RunCounters, ThroughputSummary
 from .ordering import Orderer
-from .workload import ArrivalSource, TxStatus
+from .workload import ArrivalSource, TxStatus, TxStore
 
 __all__ = ["Simulation", "RunResult", "run_scenario"]
 
@@ -34,8 +37,7 @@ class RunResult:
     wait_events: list
     invalid_by_prob: dict        # dependency prob -> invalid count (same ledger)
     per_peer_commit_mean: list   # mean block-commit seconds per peer
-    tx_trace: list | None = None
-    tx_parents: list | None = None   # parent id or None per tx_trace entry
+    txs: TxStore | None = None   # every transaction, as columns
     block_trace: list | None = None
     version: str = _version
 
@@ -117,54 +119,48 @@ class Simulation:
         truncated = self.kernel.pending() > 0 or not self.drained()
         txs = self.source.txs
 
-        # committed blocks form a ledger prefix (every peer commits in order)
+        # committed blocks form a ledger prefix (every peer commits in order).
+        # The orderer takes endorsed transactions FIFO, so the blocks followed
+        # by its queue hold them in endorsement order; first commits happen in
+        # block order. Those past the committed prefix are in flight.
         blocks = self.orderer.blocks
         committed_prefix = blocks[:max(p.height for p in self.peers)]
+        endorsed = array("i", chain(*(b.txs for b in blocks), self.orderer.queue))
+        ledger = np.frombuffer(endorsed, dtype=np.intc)[:sum(b.size for b in committed_prefix)]
         primary = self.config.workload.dependency_prob
         invalid_by_prob = {}
-        for p, parents in self.source.parents.items():
-            invalid = assign_validity(committed_prefix, txs, parents)
+        for p, parents in txs.parents.items():
+            invalid = assign_validity(ledger, txs, parents)
             invalid_by_prob[p] = len(invalid)
             if p == primary:
                 primary_invalid = invalid
-        for b in committed_prefix:
-            for tx in b.txs:
-                tx.status = TxStatus.COMMITTED_VALID
-        for tx in primary_invalid:
-            tx.status = TxStatus.COMMITTED_INVALID
+        status = np.frombuffer(txs.status, dtype=np.uint8)
+        status[ledger] = TxStatus.COMMITTED_VALID
+        status[primary_invalid] = TxStatus.COMMITTED_INVALID
         if truncated:
-            for tx in txs:
-                if tx.status == TxStatus.CREATED:
-                    tx.status = TxStatus.DROPPED
-                    tx.drop_reason = "horizon"
+            status[status == TxStatus.CREATED] = TxStatus.DROPPED_HORIZON
 
         # every transaction's fate is settled: count each kind once
-        fates = Counter(tx.drop_reason or tx.status for tx in txs)
-        n_valid = fates[TxStatus.COMMITTED_VALID]
-        n_invalid = fates[TxStatus.COMMITTED_INVALID]
-        # the orderer takes endorsed transactions FIFO, so the blocks followed
-        # by its queue hold them in endorsement order; first commits happen in
-        # block order. Those past the committed prefix are in flight.
-        endorsed = [tx for b in blocks for tx in b.txs]
-        endorsed += self.orderer.queue
-        capacity, quorum, horizon = fates["capacity"], fates["quorum"], fates["horizon"]
+        fates = txs.status.count
+        n_valid, n_invalid = fates(TxStatus.COMMITTED_VALID), fates(TxStatus.COMMITTED_INVALID)
+        capacity, quorum, horizon = map(fates, (TxStatus.DROPPED_CAPACITY,
+                                                TxStatus.DROPPED_QUORUM, TxStatus.DROPPED_HORIZON))
         counters = RunCounters(
-            created=len(txs), endorsed=fates[TxStatus.ENDORSED] + n_valid + n_invalid,
+            created=len(txs.status), endorsed=fates(TxStatus.ENDORSED) + n_valid + n_invalid,
             dropped=capacity + quorum + horizon, dropped_capacity=capacity,
             dropped_quorum=quorum, dropped_horizon=horizon,
             committed_valid=n_valid, committed_invalid_mvcc=n_invalid,
             in_flight_at_horizon=len(endorsed) - n_valid - n_invalid)
         counters.check()
 
-        summaries = {}
-        for label, samples in zip(STAGES, self._stage_samples(endorsed, committed_prefix)):
-            summ = LatencySummary.from_samples(label, samples)
-            if summ is not None:
-                summaries[label] = summ
+        # map frees each stage's samples before the next stage's are built
+        summaries = {s.stage: s for s in map(LatencySummary.from_samples, STAGES,
+                                             self._stage_samples(txs, endorsed, committed_prefix))
+                     if s is not None}
 
         committed = n_valid + n_invalid
         last_commit_at = committed_prefix[-1].first_commit_at if committed_prefix else 0.0
-        last_endorse_at = endorsed[-1].endorse_end if endorsed else 0.0
+        last_endorse_at = txs.endorse_end[endorsed[-1]] if endorsed else 0.0
         p1m = summaries["phase1"].mean if "phase1" in summaries else 0.0
         p2m = summaries["phase2"].mean if "phase2" in summaries else 0.0
         first_cut = blocks[0].cut_at if blocks else 0.0
@@ -181,10 +177,8 @@ class Simulation:
         per_peer_mean = [sum(t.p1_duration + t.p2_duration for t in p.timings[:p.height])
                          / p.height if p.height else 0.0 for p in self.peers]
 
-        tx_trace = tx_parents = block_trace = None
+        block_trace = None
         if self.collect_traces:
-            tx_trace = txs
-            tx_parents = self.source.parents[primary]
             block_trace = [(b, [p.timings[i] for p in self.peers if i < len(p.timings)])
                            for i, b in enumerate(blocks)]
 
@@ -202,23 +196,23 @@ class Simulation:
             wait_events=self.controller.events,
             invalid_by_prob=invalid_by_prob,
             per_peer_commit_mean=per_peer_mean,
-            tx_trace=tx_trace,
-            tx_parents=tx_parents,
+            txs=txs if self.collect_traces else None,
             block_trace=block_trace,
         )
 
-    def _stage_samples(self, endorsed, committed):
+    def _stage_samples(self, txs, endorsed, committed):
         """The samples of each stage in STAGES, one list at a time, each in
         the order the run made them: endorsement order, block order, or
-        commit-event order."""
-        yield [tx.endorse_end - tx.endorse_start for tx in endorsed]
-        yield [tx.quorum_wait for tx in endorsed]
+        commit-event order. endorsed holds the endorsed transactions' ids."""
+        start, end, created = txs.endorse_start, txs.endorse_end, txs.created_at
+        yield [end[tx] - start[tx] for tx in endorsed]
+        yield [txs.quorum_wait[tx] for tx in endorsed]
         yield [b.creation_time for b in self.orderer.blocks]
         commits = self._commits
         yield [t.p1_duration for t in commits]
         yield [t.p2_duration for t in commits]
         yield [t.p1_duration + t.p2_duration for t in commits]
-        yield [b.first_commit_at - tx.created_at for b in committed for tx in b.txs]
+        yield [b.first_commit_at - created[tx] for b in committed for tx in b.txs]
 
 
 def run_scenario(config: ScenarioConfig, collect_traces: bool = True,

@@ -13,53 +13,61 @@ the parent is settled later, from final ledger order.
 
 Every dependency probability a run evaluates (the configured one and any
 extra ones) is drawn by draw_parent from its own RNG stream into its own
-parents sequence, so a probability's parents match a standalone run at it.
+parents column, so a probability's parents match a standalone run at it.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from functools import partial
 
 from .kernel import EventKind, RngStream
 
-__all__ = ["TxStatus", "Transaction", "InFlightPool", "draw_parent", "ArrivalSource"]
+__all__ = ["TxStatus", "TxStore", "InFlightPool", "draw_parent", "ArrivalSource"]
 
 
 class TxStatus:
-    CREATED = "created"
-    ENDORSED = "endorsed"
-    DROPPED = "dropped"
-    COMMITTED_VALID = "committed-valid"
-    COMMITTED_INVALID = "committed-invalid-mvcc"
+    """The one-byte codes of TxStore.status; TEXT[code] is the reports' (status,
+    drop_reason). The drops, one code per reason, come last."""
+
+    (CREATED, ENDORSED, COMMITTED_VALID, COMMITTED_INVALID,
+     DROPPED_CAPACITY, DROPPED_QUORUM, DROPPED_HORIZON) = range(7)
+    TEXT = (("created", None), ("endorsed", None), ("committed-valid", None),
+            ("committed-invalid-mvcc", None), ("dropped", "capacity"),
+            ("dropped", "quorum"), ("dropped", "horizon"))
 
 
-class Transaction:
-    __slots__ = (
-        "tx_id", "client_id", "created_at",
-        "endorser", "endorse_start", "endorse_end", "quorum_wait", "retries_used",
-        "holders", "disseminated_to", "block_num", "block_pos", "status", "drop_reason",
-    )
+class TxStore:
+    """Every transaction of a run, as parallel columns indexed by tx_id: times
+    in array('d'), ids, counts and ledger positions in array('i') (-1: none),
+    TxStatus codes in a bytearray. round indexes the winning dissemination round
+    in rounds[endorser], the endorser's (targets, designated, holders) table.
+    The columns filled after creation grow 1024 unset entries at a time, so
+    they can run past len(status), the transaction count."""
 
-    def __init__(self, tx_id: int, client_id: int, created_at: float):
-        self.tx_id = tx_id
-        self.client_id = client_id
-        self.created_at = created_at
-        self.endorser: int | None = None
-        self.endorse_start = -1.0
-        self.endorse_end = -1.0
-        self.quorum_wait = 0.0
-        self.retries_used = 0
-        self.holders = 0  # bitmask of the peers holding the private data
-        self.disseminated_to: tuple[int, ...] | None = None
-        # ledger position; the block holds the order and commit times
-        self.block_num = -1
-        self.block_pos = -1
-        self.status = TxStatus.CREATED
-        self.drop_reason: str | None = None
+    def __init__(self, probs=()):
+        self.created_at, self.endorse_start = array("d"), array("d")
+        self.endorse_end, self.quorum_wait = array("d"), array("d")
+        self.client, self.endorser, self.retries_used = array("i"), array("i"), array("i")
+        self.round, self.block_num, self.block_pos = array("i"), array("i"), array("i")
+        self.status = bytearray()
+        self.parents = {p: array("i") for p in probs}
+        self.rounds: list = []
+        self._later = ((self.endorser, -1), (self.endorse_start, -1.0), (self.endorse_end, -1.0),
+                       (self.quorum_wait, 0.0), (self.retries_used, 0), (self.round, -1),
+                       (self.block_num, -1), (self.block_pos, -1))
 
-    def __repr__(self):
-        return f"Transaction({self.tx_id}, status={self.status})"
+    def add(self, client: int, at: float) -> int:
+        """Append a created transaction, every later field unset; its id."""
+        tx_id = len(self.status)
+        self.created_at.append(at)
+        self.client.append(client)
+        self.status.append(TxStatus.CREATED)
+        if tx_id == len(self.round):
+            for column, unset in self._later:
+                column.extend(array(column.typecode, [unset]) * 1024)
+        return tx_id
 
 
 class InFlightPool:
@@ -78,10 +86,8 @@ class InFlightPool:
         self._index[tx_id] = len(self._items)
         self._items.append(tx_id)
 
-    def discard(self, tx_id: int) -> None:
-        i = self._index.pop(tx_id, None)
-        if i is None:
-            return
+    def remove(self, tx_id: int) -> None:
+        i = self._index.pop(tx_id)
         last = self._items.pop()
         if i < len(self._items):
             self._items[i] = last
@@ -91,15 +97,15 @@ class InFlightPool:
         return self._items[stream.randint(len(self._items))]
 
 
-def draw_parent(pool: InFlightPool, p: float, stream: RngStream) -> int | None:
-    """With probability p, a uniform member of the pool; None otherwise.
+def draw_parent(pool: InFlightPool, p: float, stream: RngStream) -> int:
+    """With probability p, a uniform member of the pool; -1 otherwise.
 
     Consumes one bernoulli draw when p > 0, plus one index draw when a
     parent is chosen, and touches no other stream.
     """
     if p > 0.0 and stream.uniform() < p and len(pool) > 0:
         return pool.choose(stream)
-    return None
+    return -1
 
 
 def dependency_stream_label(p: float) -> str:
@@ -112,9 +118,8 @@ class ArrivalSource:
     For rate-driven modes each client is a self-rescheduling chain of arrival
     events, so the pending-event count stays O(num_clients). In pool mode
     the batch waits in unpulled, in creation order, for free slots of
-    eligible peers (see EndorsementSystem.fill). parents maps each
-    dependency probability, the configured one first, to its parents
-    sequence: parents[p][tx_id] is the parent id or None.
+    eligible peers (see EndorsementSystem.fill). txs is the run's TxStore,
+    with a parents column per dependency probability, the configured first.
     """
 
     def __init__(self, sim, extra_probs=()):
@@ -122,17 +127,16 @@ class ArrivalSource:
         self.sim = sim
         self.cfg = workload_cfg
         self.pool = InFlightPool()
-        self.txs: list[Transaction] = []
         self._active_clients = 0
         self._pooled = workload_cfg.arrival_process == "pool"
-        self.unpulled: deque[Transaction] = deque()
+        self.unpulled: deque[int] = deque()
         # deterministic arrivals: exactly rate*duration per client, at k/rate
         # for k = 1..n
         self._per_client = int(round(workload_cfg.rate_per_client * workload_cfg.duration))
         # float keys: the stream label is repr(p), and 1 must draw as 1.0 does
         probs = dict.fromkeys(float(p) for p in (workload_cfg.dependency_prob, *extra_probs))
-        self.parents: dict[float, list[int | None]] = {p: [] for p in probs}
-        self._draws = [(p, sim.stream(dependency_stream_label(p)), self.parents[p])
+        self.txs = TxStore(probs)
+        self._draws = [(p, sim.stream(dependency_stream_label(p)), self.txs.parents[p])
                        for p in probs]
 
     def start(self) -> None:
@@ -169,14 +173,13 @@ class ArrivalSource:
         self._schedule_next(client, emitted + 1)
         self.sim.endorsement.submit(tx)
 
-    def _create(self, client_id: int, at: float) -> Transaction:
-        tx = Transaction(len(self.txs), client_id, at)
+    def _create(self, client_id: int, at: float) -> int:
+        tx_id = self.txs.add(client_id, at)
         pool = self.pool
         for p, stream, parents in self._draws:
-            parents.append(draw_parent(pool, p, stream))
-        pool.add(tx.tx_id)
-        self.txs.append(tx)
-        return tx
+            parents.append(draw_parent(pool, p, stream) if p > 0.0 else -1)
+        pool.add(tx_id)
+        return tx_id
 
     def exhausted(self) -> bool:
         return self._active_clients == 0 and not self.unpulled

@@ -56,6 +56,13 @@ def replay_phase2_completion(monkeypatch, height=2):
     monkeypatch.setattr(Peer, "_on_p2_done", replay)
 
 
+def disseminated_to(txs, tx):
+    """The targets of tx's winning dissemination round, read through the
+    TxStore's round index; () when no round won."""
+    won = txs.round[tx]
+    return txs.rounds[txs.endorser[tx]][won][0] if won >= 0 else ()
+
+
 @pytest.fixture
 def small_cfg():
     return tiny_config()

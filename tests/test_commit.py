@@ -4,9 +4,11 @@ import io
 import itertools
 import math
 import runpy
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eovsim import (
@@ -19,7 +21,7 @@ from eovsim import (
     steady_state_tps,
 )
 from eovsim.presets import CORE_SCALE_GRID, TABLE_PHASE_CONSTANTS, preset
-from eovsim.workload import Transaction, TxStatus
+from eovsim.workload import TxStatus, TxStore
 
 from conftest import replay_phase2_completion, tiny_config
 
@@ -114,42 +116,41 @@ def test_local_vs_remote_fetch_selection():
 
 # -- mvcc -----------------------------------------------------------------------
 
-def _tx(tx_id, status=TxStatus.CREATED):
-    tx = Transaction(tx_id, 0, float(tx_id))
-    tx.status = status
-    return tx
-
-
-class _FakeBlock:
-    def __init__(self, num, txs):
-        self.block_num = num
-        self.txs = txs
-        for pos, tx in enumerate(txs):
-            tx.block_num = num
-            tx.block_pos = pos
-        self.first_commit_at = 1.0
+def _validity(n, blocks, parents, status=None):
+    """The ids assign_validity invalidates among n transactions laid out in
+    blocks, (block_num, [tx ids in block order]) each; parents holds a parent
+    id or None per transaction, status a TxStatus code per tx id."""
+    txs = TxStore()
+    for i in range(n):
+        txs.add(0, float(i))
+    for tx, code in (status or {}).items():
+        txs.status[tx] = code
+    ledger = []
+    for num, ids in blocks:
+        for pos, tx in enumerate(ids):
+            txs.block_num[tx] = num
+            txs.block_pos[tx] = pos
+        ledger += ids
+    column = array("i", [-1 if p is None else p for p in parents])
+    return assign_validity(np.array(ledger, dtype=np.intc), txs, column).tolist()
 
 
 def test_mvcc_parent_committed_earlier_is_valid():
-    txs = [_tx(0), _tx(1), _tx(2)]
-    blocks = [_FakeBlock(1, txs[:2]), _FakeBlock(2, txs[2:])]
-    assert assign_validity(blocks, txs, [None, None, 1]) == []
+    assert _validity(3, [(1, [0, 1]), (2, [2])], [None, None, 1]) == []
 
 
 def test_mvcc_no_parent_is_valid():
-    txs = [_tx(0)]
-    assert assign_validity([_FakeBlock(1, txs)], txs, [None]) == []
+    assert _validity(1, [(1, [0])], [None]) == []
 
 
 def test_mvcc_uncommitted_parent_is_invalid():
     # the parent is endorsed but not yet ordered when its child commits
-    parent, child = _tx(0, status=TxStatus.ENDORSED), _tx(1)
-    assert assign_validity([_FakeBlock(1, [child])], [parent, child], [None, 0]) == [child]
+    assert _validity(2, [(1, [1])], [None, 0], {0: TxStatus.ENDORSED}) == [1]
 
 
 def test_mvcc_dropped_parent_is_vacuously_valid():
-    parent, child = _tx(0, status=TxStatus.DROPPED), _tx(1)
-    assert assign_validity([_FakeBlock(1, [child])], [parent, child], [None, 0]) == []
+    for code in (TxStatus.DROPPED_CAPACITY, TxStatus.DROPPED_QUORUM):
+        assert _validity(2, [(1, [1])], [None, 0], {0: code}) == []
 
 
 def test_positional_rule_brute_force_three_tx_permutations():
@@ -159,9 +160,7 @@ def test_positional_rule_brute_force_three_tx_permutations():
         for wiring in itertools.product([None, 0, 1, 2], repeat=3):
             if any(p is not None and p >= i for i, p in enumerate(wiring)):
                 continue  # parents must be strictly older
-            txs = [_tx(i) for i in range(3)]
-            block = _FakeBlock(1, [txs[i] for i in perm])
-            invalid = {tx.tx_id for tx in assign_validity([block], txs, list(wiring))}
+            invalid = set(_validity(3, [(1, list(perm))], list(wiring)))
             order = {tx_id: pos for pos, tx_id in enumerate(perm)}
             for i, p in enumerate(wiring):
                 expected_valid = p is None or order[p] < order[i]
@@ -171,25 +170,16 @@ def test_positional_rule_brute_force_three_tx_permutations():
 def test_two_tx_block_inverted_dependency_hand_trace():
     # ledger order [child, parent]: the child commits first, parent still in
     # flight -> child invalid, parent valid
-    parent = _tx(0)
-    child = _tx(1)
-    block = _FakeBlock(1, [child, parent])
-    assert assign_validity([block], [parent, child], [None, 0]) == [child]
+    assert _validity(2, [(1, [1, 0])], [None, 0]) == [1]
 
 
 def test_parent_in_much_earlier_block_valid():
-    parent = _tx(0)
-    child = _tx(1)
-    b1 = _FakeBlock(1, [parent])
-    b4 = _FakeBlock(4, [child])
-    assert assign_validity([b1, b4], [parent, child], [None, 0]) == []
+    assert _validity(2, [(1, [0]), (4, [1])], [None, 0]) == []
 
 
 def test_fully_dependent_same_block_uncommitted_parents():
     # p=1 chain ordered in reverse: every dependent transaction fails
-    txs = [_tx(0), _tx(1), _tx(2)]
-    block = _FakeBlock(1, [txs[2], txs[1], txs[0]])
-    assert assign_validity([block], txs, [None, 0, 1]) == [txs[2], txs[1]]
+    assert _validity(3, [(1, [2, 1, 0])], [None, 0, 1]) == [2, 1]
 
 
 # -- scheduling disciplines -------------------------------------------------------

@@ -354,7 +354,7 @@ def test_cli_conservation_failure_exit_3(tmp_path, monkeypatch, capsys):
     orig = Orderer.enqueue_endorsed
 
     def lost(self, tx):
-        if tx.tx_id != 0:  # tx 0's endorsement never reaches the orderer
+        if tx != 0:  # tx 0's endorsement never reaches the orderer
             orig(self, tx)
 
     monkeypatch.setattr(Orderer, "enqueue_endorsed", lost)

@@ -1,15 +1,16 @@
 import itertools
 import math
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from eovsim import DistributionSpec as D
 from eovsim import DisseminationStrategy, LeaderPolicy, eligible_endorsers, quorum_satisfied, run_scenario
 from eovsim.simulate import Simulation
-from eovsim.workload import Transaction, TxStatus
+from eovsim.workload import TxStatus
 
-from conftest import tiny_config
+from conftest import disseminated_to, tiny_config
 
 
 # -- eligible_endorsers --------------------------------------------------------
@@ -102,14 +103,17 @@ def test_rotation_table_matches_per_round_formula(n):
             others = [q for q in range(n) if q != pid]
             period = len(others) // math.gcd(m, len(others))
             rr = 0
-            for _ in range(3 * period + 1):
+            for i in range(3 * period + 1):
                 if m >= len(others):
                     expected = others
                 else:
                     start = rr % len(others)
                     rr += m
                     expected = [others[(start + k) % len(others)] for k in range(m)]
-                targets, designated, holders = next(es._rotation[pid])
+                index, (targets, designated, holders) = next(es._rotation[pid])
+                # the index a transaction stores reads the same round back
+                assert index == i % period
+                assert es.txs.rounds[pid][index] == (targets, designated, holders)
                 assert list(targets) == expected
                 assert designated == min(range(m), key=lambda k: expected[k])
                 assert holders == sum(1 << p for p in {pid, *expected})
@@ -129,8 +133,7 @@ def test_ranked_list_falls_through_when_top_is_full():
     top.busy = sim.config.peers.endorse_concurrency
     for _ in range(sim.config.peers.gateway_buffer):
         top.buffer.append(None)
-    tx = Transaction(0, 0, 0.0)
-    chosen = es.route_transaction(tx)
+    chosen = es.route_transaction()
     assert chosen is not None and chosen.peer_id == 1
     assert top.busy + len(top.buffer) == cap
 
@@ -146,7 +149,7 @@ def test_single_leader_at_capacity_drops():
     leader.busy = sim.config.peers.endorse_concurrency
     for _ in range(sim.config.peers.gateway_buffer):
         leader.buffer.append(None)
-    assert es.route_transaction(Transaction(0, 0, 0.0)) is None
+    assert es.route_transaction() is None
 
 
 def test_all_policy_never_drops_with_free_peer():
@@ -155,13 +158,14 @@ def test_all_policy_never_drops_with_free_peer():
     es.peers[0].busy = sim.config.peers.endorse_concurrency
     for _ in range(sim.config.peers.gateway_buffer):
         es.peers[0].buffer.append(None)
-    for i in range(10):
-        assert es.route_transaction(Transaction(i, 0, 0.0)) is not None
+    for _ in range(10):
+        assert es.route_transaction() is not None
 
 
 def test_admit_slots_then_buffer_then_drop():
     sim = _sim()
     es = sim.endorsement
+    txs = sim.source.txs
     peer, *others = es.peers
     c, b = sim.config.peers.endorse_concurrency, sim.config.peers.gateway_buffer
     # routing only admits to a peer with room: with the others full, every
@@ -170,23 +174,24 @@ def test_admit_slots_then_buffer_then_drop():
         other.busy = c
         other.buffer.extend([None] * b)
     peer.busy = c - 1
-    es.submit(Transaction(0, 0, 0.0))
+    create = partial(sim.source._create, 0, 0.0)
+    es.submit(create())
     assert peer.busy == c and not peer.buffer
-    t1 = Transaction(1, 0, 0.0)
+    t1 = create()
     es.submit(t1)
     assert t1 in peer.buffer and len(peer.buffer) == 1
-    for i in range(2, b + 1):
-        es.submit(Transaction(i, 0, 0.0))
+    for _ in range(2, b + 1):
+        es.submit(create())
     assert len(peer.buffer) == b
-    overflow = Transaction(b + 1, 0, 0.0)
+    overflow = create()
     es.submit(overflow)
-    assert overflow.status == TxStatus.DROPPED
-    assert overflow.drop_reason == "capacity"
+    assert txs.status[overflow] == TxStatus.DROPPED_CAPACITY
+    assert TxStatus.TEXT[txs.status[overflow]] == ("dropped", "capacity")
     # a freed slot takes the head of the buffer
     peer.busy -= 1
     es.fill(peer)
     assert peer.busy == c and len(peer.buffer) == b - 1
-    assert t1 not in peer.buffer and t1.endorse_start == 0.0
+    assert t1 not in peer.buffer and txs.endorse_start[t1] == 0.0
 
 
 # -- endorse timing ----------------------------------------------------------------
@@ -207,36 +212,32 @@ def _constant_endorse_cfg(ack_value, m, r, relaxed=False, execute=0.13):
 def test_endorse_latency_execute_plus_quorum_plus_overhead():
     # constant execute 0.13 + single-ack quorum 0.05 -> 0.18 total
     cfg = _constant_endorse_cfg(0.05, m=1, r=1)
-    res = run_scenario(cfg, collect_traces=True)
-    tx = res.tx_trace[0]
-    assert math.isclose(tx.endorse_end - tx.endorse_start, 0.18)
-    assert math.isclose(tx.quorum_wait, 0.05)
+    txs = run_scenario(cfg, collect_traces=True).txs
+    assert math.isclose(txs.endorse_end[0] - txs.endorse_start[0], 0.18)
+    assert math.isclose(txs.quorum_wait[0], 0.05)
 
 
 def test_zero_latency_completes_at_admission():
     cfg = _constant_endorse_cfg(0.0, m=1, r=1, execute=0.0)
-    res = run_scenario(cfg, collect_traces=True)
-    tx = res.tx_trace[0]
-    assert tx.endorse_end == tx.endorse_start == tx.created_at
+    txs = run_scenario(cfg, collect_traces=True).txs
+    assert txs.endorse_end[0] == txs.endorse_start[0] == txs.created_at[0]
 
 
 def test_dissemination_data_lands_at_targets():
     cfg = _constant_endorse_cfg(0.05, m=1, r=1)
     sim = Simulation(cfg, collect_traces=True)
-    res = sim.run()
-    tx = res.tx_trace[0]
+    txs = sim.run().txs
     # (1,1): exactly the endorser plus one target held the data at cut time
-    assert len(tx.disseminated_to) == 1
-    assert tx.endorser not in tx.disseminated_to
+    assert len(disseminated_to(txs, 0)) == 1
+    assert txs.endorser[0] not in disseminated_to(txs, 0)
 
 
 def test_broadcast_dissemination_reaches_all_other_peers():
     # (n-1, 1*) over 3 peers: both non-endorsers hold the data
     cfg = _constant_endorse_cfg(0.05, m=2, r=1, relaxed=True)
-    res = run_scenario(cfg, collect_traces=True)
-    tx = res.tx_trace[0]
-    assert sorted(tx.disseminated_to) == sorted(
-        p for p in range(3) if p != tx.endorser)
+    txs = run_scenario(cfg, collect_traces=True).txs
+    assert sorted(disseminated_to(txs, 0)) == sorted(
+        p for p in range(3) if p != txs.endorser[0])
 
 
 def test_quorum_failure_after_retries_drops():
@@ -249,11 +250,11 @@ def test_quorum_failure_after_retries_drops():
     )
     res = run_scenario(cfg, collect_traces=True)
     assert res.counters.dropped_quorum == res.counters.created
-    tx = res.tx_trace[0]
-    assert tx.status == TxStatus.DROPPED and tx.drop_reason == "quorum"
-    assert tx.retries_used == 1
+    txs = res.txs
+    assert TxStatus.TEXT[txs.status[0]] == ("dropped", "quorum")
+    assert txs.retries_used[0] == 1
     # two failed rounds, each costing the full ack timeout
-    assert math.isclose(tx.quorum_wait, 0.4)
+    assert math.isclose(txs.quorum_wait[0], 0.4)
 
 
 def test_preset_4_1_endorsement_mean_in_calibrated_band():

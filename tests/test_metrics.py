@@ -65,8 +65,8 @@ def test_e2e_latency_simple():
     res = run_scenario(tiny_config(), collect_traces=True)
     first_commit = {b.block_num: b.first_commit_at for b, _ in res.block_trace}
     first_commit[-1] = -1.0  # not ordered
-    samples = [first_commit[tx.block_num] - tx.created_at for tx in res.tx_trace
-               if first_commit[tx.block_num] >= 0]
+    samples = [first_commit[num] - at for num, at in zip(res.txs.block_num, res.txs.created_at)
+               if first_commit[num] >= 0]
     e2e = res.summaries["e2e"]
     c = res.counters
     assert e2e.count == len(samples) == c.committed_valid + c.committed_invalid_mvcc
@@ -113,7 +113,7 @@ def test_float_cell_is_json_of_six_digit_rounding(x):
 
 
 def test_string_and_null_cells_are_json():
-    statuses = [v for k, v in vars(TxStatus).items() if k.isupper()]
+    statuses = sorted({status for status, _ in TxStatus.TEXT})
     assert len(statuses) == 5
     for value in statuses + ["capacity", "quorum", "horizon", None,
                              'a "quoted"\\ \u00e9\n', 2, (0, 3), ()]:
@@ -146,10 +146,10 @@ def _eventful_config():
 def test_trace_lines_are_canonical_json():
     res = run_scenario(_eventful_config(), collect_traces=True)
     c = res.counters
-    txs = res.tx_trace
+    txs = res.txs
     assert c.dropped_capacity and c.dropped_quorum and c.committed_invalid_mvcc
-    assert any(tx.retries_used for tx in txs) and res.wait_events
-    assert None in res.tx_parents and any(tx.endorser is None for tx in txs)
+    assert any(txs.retries_used) and res.wait_events
+    assert -1 in txs.parents[res.config.workload.dependency_prob] and -1 in txs.endorser
     files = render_report(res)
     assert {"transactions.jsonl", "blocks.jsonl", "wait_events.jsonl"} <= set(files)
     # eleven peers: a block row's peers are keyed as strings, so "10" sorts before "2"
@@ -168,7 +168,7 @@ def test_trace_lines_are_canonical_json():
                 assert json.dumps(row, sort_keys=True, separators=(",", ":")) == line
                 if name == "transactions.jsonl":
                     assert list(row) == TX_KEYS
-    assert files["transactions.jsonl"].count("\n") == len(txs)
+    assert files["transactions.jsonl"].count("\n") == len(txs.status)
 
 
 def test_emit_report_writes_render_report_bytes(tmp_path):
@@ -283,7 +283,7 @@ def test_dropped_simulation_is_freed_and_its_result_still_renders():
     assert ref() is None
     with pytest.raises(ReferenceError):
         peer.sim.kernel
-    assert res.tx_trace and res.block_trace
+    assert len(res.txs.status) and res.block_trace
     assert render_report(res) == render_report(run_scenario(tiny_config()))
 
 

@@ -40,7 +40,7 @@ def test_same_instant_enqueues_follow_event_order():
     )
     res = run_scenario(cfg, collect_traces=True)
     block, _ = res.block_trace[0]
-    ids = [tx.tx_id for tx in block.txs]
+    ids = list(block.txs)
     # simultaneous completions keep creation (seq) order
     assert ids == sorted(ids)
 
@@ -58,7 +58,7 @@ def test_block_numbers_sequential_and_every_tx_once():
     res = run_scenario(cfg, collect_traces=True)
     nums = [b.block_num for b, _ in res.block_trace]
     assert nums == list(range(1, len(nums) + 1))
-    seen = [tx.tx_id for b, _ in res.block_trace for tx in b.txs]
+    seen = [tx for b, _ in res.block_trace for tx in b.txs]
     assert len(seen) == len(set(seen)) == res.counters.endorsed
 
 

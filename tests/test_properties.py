@@ -21,11 +21,14 @@ from eovsim import (
     quorum_satisfied,
     run_scenario,
 )
+from eovsim import simulate
 from eovsim.endorsement import EndorsementSystem
 from eovsim.metrics import render_report
 from eovsim.ordering import Orderer
 from eovsim.simulate import Simulation
 from eovsim.workload import TxStatus
+
+from conftest import disseminated_to
 
 CASES = settings(max_examples=1000, deadline=None, derandomize=True)
 
@@ -218,7 +221,7 @@ def test_drained_run_leaves_nothing_in_flight(cfg):
         if res.status == "drained":
             assert not any(p.busy or p.buffer for p in sim.peers)
             assert not sim.orderer.queue
-            assert not any(tx.status == TxStatus.CREATED for tx in sim.source.txs)
+            assert TxStatus.CREATED not in sim.source.txs.status
         del sim
         assert gc.collect() == 0
     finally:
@@ -236,6 +239,46 @@ def test_extra_dependency_prob_matches_standalone_run(cfg, q):
     assert res.invalid_by_prob[q] == alone.counters.committed_invalid_mvcc
 
 
+def _reference_invalid(ledger, txs, parents):
+    """The MVCC rule one transaction at a time: a dependent in the ledger is
+    invalid unless its parent was dropped or was ordered at a strictly
+    earlier (block_num, block_pos)."""
+    invalid = []
+    for tx in ledger:
+        parent = parents[tx]
+        if parent == -1:
+            continue
+        dropped = TxStatus.TEXT[txs.status[parent]][0] == "dropped"
+        earlier = (txs.block_num[parent] != -1 and (txs.block_num[parent], txs.block_pos[parent])
+                   < (txs.block_num[tx], txs.block_pos[tx]))
+        if not (dropped or earlier):
+            invalid.append(tx)
+    return invalid
+
+
+@CASES
+@given(st.one_of(scenario(), waiting_scenario()), st.lists(st.floats(0.0, 1.0), max_size=3),
+       st.sampled_from([None, 0.6, 3.0]))
+def test_vectorised_validity_matches_reference_loop(cfg, extra, horizon):
+    # each probability's invalid ids, in ledger order, against a per-transaction
+    # loop over the same columns, with horizon drops not yet settled
+    if horizon is not None:
+        cfg = replace(cfg, horizon=horizon)
+    vectorised = simulate.assign_validity
+    calls = 0
+
+    def checked(ledger, txs, parents):
+        nonlocal calls
+        calls += 1
+        invalid = vectorised(ledger, txs, parents)
+        assert invalid.tolist() == _reference_invalid(ledger.tolist(), txs, parents)
+        return invalid
+
+    with patch.object(simulate, "assign_validity", checked):
+        res = run_scenario(cfg, collect_traces=False, extra_dep_probs=tuple(extra))
+    assert calls == len(res.invalid_by_prob)
+
+
 @CASES
 @given(scenario())
 def test_determinism_identical_seed_identical_reports(cfg):
@@ -251,11 +294,12 @@ def test_conservation_identities(cfg):
     c = res.counters
     c.check()  # created = endorsed + dropped; endorsed = valid+invalid+in-flight
     by_status = {}
-    for tx in res.tx_trace:
-        by_status[tx.status] = by_status.get(tx.status, 0) + 1
-    assert by_status.get(TxStatus.DROPPED, 0) == c.dropped
-    assert by_status.get(TxStatus.COMMITTED_VALID, 0) == c.committed_valid
-    assert by_status.get(TxStatus.COMMITTED_INVALID, 0) == c.committed_invalid_mvcc
+    for code in res.txs.status:
+        status = TxStatus.TEXT[code][0]
+        by_status[status] = by_status.get(status, 0) + 1
+    assert by_status.get("dropped", 0) == c.dropped
+    assert by_status.get("committed-valid", 0) == c.committed_valid
+    assert by_status.get("committed-invalid-mvcc", 0) == c.committed_invalid_mvcc
     terminal = (c.dropped + c.committed_valid + c.committed_invalid_mvcc
                 + c.in_flight_at_horizon)
     assert terminal == c.created
@@ -297,10 +341,10 @@ def test_mode_equivalence_under_height_independent_routing(cfg):
     # endorsement side is identical and outcomes must match exactly
     serial = run_scenario(replace(cfg, commit_mode="serial"), collect_traces=True)
     pipelined = run_scenario(replace(cfg, commit_mode="pipelined"), collect_traces=True)
-    blocks_s = [[tx.tx_id for tx in b.txs] for b, _ in serial.block_trace]
-    blocks_p = [[tx.tx_id for tx in b.txs] for b, _ in pipelined.block_trace]
+    blocks_s = [list(b.txs) for b, _ in serial.block_trace]
+    blocks_p = [list(b.txs) for b, _ in pipelined.block_trace]
     assert blocks_s == blocks_p
-    assert [tx.status for tx in serial.tx_trace] == [tx.status for tx in pipelined.tx_trace]
+    assert serial.txs.status == pipelined.txs.status
     assert serial.counters == pipelined.counters
 
 
@@ -335,12 +379,12 @@ def test_eligibility_soundness(cfg):
     route = EndorsementSystem.route_transaction
     calls = 0
 
-    def checked_route(system, tx):
+    def checked_route(system):
         nonlocal calls
         calls += 1
         sim = system.sim
         assert sim.eligible == eligible_endorsers(cfg.leader, [p.height for p in sim.peers])
-        peer = route(system, tx)
+        peer = route(system)
         assert peer is None or peer.peer_id in sim.eligible
         return peer
 
@@ -384,7 +428,7 @@ def test_pool_admission_keeps_eligible_slots_busy(cfg):
             patch.object(Simulation, "on_commit", checked_commit):
         sim = Simulation(cfg, collect_traces=False)
         sim.run()
-    assert started == sum(tx.endorse_start >= 0 for tx in sim.source.txs) > 0
+    assert started == sum(at >= 0 for at in sim.source.txs.endorse_start) > 0
 
 
 @CASES
@@ -403,10 +447,11 @@ def test_block_local_data_matches_dissemination_trace(cfg):
 
     with patch.object(Orderer, "cut_block", checked_cut):
         res = run_scenario(cfg, collect_traces=True)
+    txs = res.txs
     for block, _ in res.block_trace:
         for p in range(cfg.peers.count):
             assert block.local_data[p] == all(
-                p == tx.endorser or p in tx.disseminated_to for tx in block.txs)
+                p == txs.endorser[tx] or p in disseminated_to(txs, tx) for tx in block.txs)
 
 
 # -- time scaling ----------------------------------------------------------------
@@ -450,8 +495,7 @@ def _doubled(a, b, names):
         assert y == 2.0 * x or x == y == -1.0, (name, x, y)
 
 
-_TX_SAME = ("tx_id", "client_id", "endorser", "retries_used", "holders", "disseminated_to",
-            "block_num", "block_pos", "status", "drop_reason")
+_TX_SAME = ("client", "endorser", "retries_used", "round", "block_num", "block_pos", "status")
 _TX_TIMES = ("created_at", "endorse_start", "endorse_end", "quorum_wait")
 _BLOCK_TIMES = ("first_enqueued_at", "cut_at", "creation_time", "first_commit_at")
 _PHASE_TIMES = ("p1_start", "p1_end", "p2_start", "p2_end")
@@ -475,15 +519,17 @@ def test_time_scaling_doubles_every_time(cfg):
         assert (sb.stage, sb.count) == (sa.stage, sa.count)
         _doubled(sa, sb, ("mean", "std", "p50", "p95", "p99"))
     assert b.per_peer_commit_mean == [2.0 * m for m in a.per_peer_commit_mean]
-    assert b.tx_parents == a.tx_parents
-    assert len(b.tx_trace) == len(a.tx_trace)
-    for ta, tb in zip(a.tx_trace, b.tx_trace):
-        assert [getattr(tb, n) for n in _TX_SAME] == [getattr(ta, n) for n in _TX_SAME]
-        _doubled(ta, tb, _TX_TIMES)
+    assert b.txs.parents == a.txs.parents
+    assert len(b.txs.status) == len(a.txs.status)
+    for name in _TX_SAME:
+        assert getattr(b.txs, name) == getattr(a.txs, name), name
+    for name in _TX_TIMES:
+        for x, y in zip(getattr(a.txs, name), getattr(b.txs, name)):
+            assert y == 2.0 * x or x == y == -1.0, (name, x, y)
     assert len(b.block_trace) == len(a.block_trace)
     for (ba, pa), (bb, pb) in zip(a.block_trace, b.block_trace):
         assert (bb.block_num, bb.local_data) == (ba.block_num, ba.local_data)
-        assert [tx.tx_id for tx in bb.txs] == [tx.tx_id for tx in ba.txs]
+        assert bb.txs == ba.txs
         _doubled(ba, bb, _BLOCK_TIMES)
         assert [(t.block_num, t.peer_id) for t in pb] == [(t.block_num, t.peer_id) for t in pa]
         for ta, tb in zip(pa, pb):

@@ -85,6 +85,13 @@ def test_endorsements_start_only_from_fill():
     assert increments == [fill]
 
 
+def test_no_transaction_class():
+    # a run's transactions are TxStore's columns, indexed by tx_id; an object
+    # per transaction would bring back its boxed fields
+    assert _sites(lambda node: isinstance(node, ast.ClassDef)
+                  and node.name == "Transaction") == []
+
+
 @pytest.mark.parametrize("module", ["eovsim"] + sorted(
     f"eovsim.{p.stem}" for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "__main__")))
 def test_every_exported_name_exists(module):

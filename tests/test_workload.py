@@ -1,7 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
+import eovsim
 from eovsim import InFlightPool, RngStream, draw_parent, run_scenario
+from eovsim.presets import preset
+from eovsim.simulate import Simulation
 from eovsim.workload import TxStatus
 
 from conftest import tiny_config
@@ -17,14 +22,14 @@ def test_deterministic_total_count_matches_table_load():
     sim = Simulation(cfg, collect_traces=False)
     sim.source.start()
     sim.kernel.run_until(300.0)
-    assert len(sim.source.txs) == 375_000
+    assert len(sim.source.txs.status) == 375_000
 
 
 def test_single_client_arrival_times():
     cfg = tiny_config(workload=replace(tiny_config().workload, num_clients=1,
                                        rate_per_client=100.0, duration=1.0))
     res = run_scenario(cfg, collect_traces=True)
-    created = [tx.created_at for tx in res.tx_trace]
+    created = list(res.txs.created_at)
     assert len(created) == 100
     expected = [(k + 1) / 100.0 for k in range(100)]
     assert all(math.isclose(a, b) for a, b in zip(created, expected))
@@ -43,7 +48,7 @@ def test_poisson_count_within_three_sigma():
         sim = Simulation(cfg, collect_traces=False)
         sim.source.start()
         sim.kernel.run_until(300.0)
-        assert abs(len(sim.source.txs) - lam) <= bound
+        assert abs(len(sim.source.txs.status) - lam) <= bound
 
 
 def test_dependency_p_zero_never_assigns():
@@ -52,7 +57,7 @@ def test_dependency_p_zero_never_assigns():
         pool.add(i)
     stream = RngStream(1, "dep")
     for _ in range(100):
-        assert draw_parent(pool, 0.0, stream) is None
+        assert draw_parent(pool, 0.0, stream) == -1
 
 
 def test_dependency_p_one_singleton_pool():
@@ -73,7 +78,7 @@ def test_dependency_frequency_and_uniformity():
     assigned = 0
     for _ in range(n):
         parent = draw_parent(pool, 0.5, stream)
-        if parent is not None:
+        if parent != -1:
             assigned += 1
             counts[parent] += 1
     assert abs(assigned / n - 0.5) <= 0.01
@@ -85,13 +90,13 @@ def test_dependency_frequency_and_uniformity():
 def test_parents_strictly_older_acyclic():
     cfg = tiny_config(workload=replace(tiny_config().workload, dependency_prob=0.7))
     res = run_scenario(cfg, collect_traces=True)
-    txs = res.tx_trace
-    for tx, parent in zip(txs, res.tx_parents):
-        if parent is not None:
+    created_at = res.txs.created_at
+    for tx_id, parent in enumerate(res.txs.parents[0.7]):
+        if parent != -1:
             # strictly older in creation order; simultaneous multi-client
             # arrivals share a timestamp, so the wall clock is only <=
-            assert txs[parent].tx_id < tx.tx_id
-            assert txs[parent].created_at <= tx.created_at
+            assert parent < tx_id
+            assert created_at[parent] <= created_at[tx_id]
 
 
 def test_conservation_created_equals_endorsed_plus_dropped(small_cfg):
@@ -108,8 +113,8 @@ def test_pool_mode_creates_all_at_time_zero():
     cfg = replace(cfg, workload=replace(cfg.workload, pool_size=200), horizon=300.0)
     res = run_scenario(cfg, collect_traces=True)
     assert res.counters.created == 200
-    assert all(tx.created_at == 0.0 for tx in res.tx_trace)
-    assert all(tx.status == TxStatus.COMMITTED_VALID for tx in res.tx_trace)
+    assert all(at == 0.0 for at in res.txs.created_at)
+    assert all(code == TxStatus.COMMITTED_VALID for code in res.txs.status)
 
 
 def test_repeated_extra_dependency_prob_counted_once(small_cfg):
@@ -126,3 +131,33 @@ def test_integer_dependency_prob_draws_like_its_float(small_cfg):
                          collect_traces=False)
     assert alone.counters.committed_invalid_mvcc > 0
     assert as_int.invalid_by_prob[1.0] == alone.counters.committed_invalid_mvcc
+
+
+def test_live_bytes_per_transaction_stay_columnar(monkeypatch):
+    # the benchmark's tiny blocksize-high shape: 8000 transactions in blocks
+    # of 500. At _finalize entry the package's own lines hold ~100 B per
+    # transaction in TxStore's columns and the blocks' id arrays; an object
+    # per transaction with boxed fields held ~300 B. kernel.py is left out:
+    # its RNG streams hold fixed 4096-draw buffers whatever the count.
+    package = Path(eovsim.__file__).parent
+    base = preset("blocksize-high")
+    cfg = replace(base, seed=1, workload=replace(base.workload, duration=2.0),
+                  cut_rule=replace(base.cut_rule, block_size=500))
+    live = []
+    finalize = Simulation._finalize
+
+    def measured(sim):
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, str(package / "*")),
+             tracemalloc.Filter(False, str(package / "kernel.py"))])
+        live.append(sum(trace.size for trace in snapshot.traces))
+        return finalize(sim)
+
+    monkeypatch.setattr(Simulation, "_finalize", measured)
+    tracemalloc.start()
+    try:
+        res = run_scenario(cfg, collect_traces=False)
+    finally:
+        tracemalloc.stop()
+    assert res.counters.created == 8000
+    assert live[0] / res.counters.created <= 128
