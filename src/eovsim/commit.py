@@ -170,10 +170,9 @@ def assign_validity(ledger, txs, parents):
     earlier ledger position. Ledger position is (block_num, block_pos), so
     the check is one comparison over the columns.
 
-    ledger: the committed transactions' ids in ledger order, a numpy array.
-    txs: the run's TxStore. parents: one dependency probability's parents
-    column. Every other transaction of the ledger is valid; statuses are left
-    untouched.
+    ledger: the committed transactions' ids in ledger order, a numpy array;
+    txs: the run's TxStore; parents: one dependency probability's parents
+    column. Statuses are left untouched.
     """
     par = np.frombuffer(parents, np.intc)[ledger]
     child, par = ledger[par >= 0], par[par >= 0]

@@ -11,7 +11,7 @@ misses its quorum is retried with fresh targets after the ack timeout.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from itertools import cycle
 from math import gcd
 
@@ -66,9 +66,11 @@ def quorum_satisfied(strategy, delays, designated: int = 0):
     return ok, wait
 
 
-def _rotation(peer_id: int, n_peers: int, m: int) -> list[tuple[tuple[int, ...], int, int]]:
+@cache
+def _rotation(peer_id: int, n_peers: int, m: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     """One period of a peer's dissemination rounds, in round order: the
-    table that a transaction's TxStore.round indexes.
+    table that a transaction's TxStore.round indexes. Every run of the same
+    shape shares it, so a sweep builds it once.
 
     Round i targets the m other peers from position i*m (mod the number of
     other peers) of the others in id order, so the rounds repeat every
@@ -79,13 +81,10 @@ def _rotation(peer_id: int, n_peers: int, m: int) -> list[tuple[tuple[int, ...],
     others = [q for q in range(n_peers) if q != peer_id]
     n = len(others)
     others += others  # a round's targets may wrap around
-    rounds = []
-    for i in range(n // gcd(m, n)):
-        start = i * m % n
-        targets = tuple(others[start:start + m])
-        rounds.append((targets, targets.index(min(targets)),
-                       sum(1 << p for p in (peer_id, *targets))))
-    return rounds
+    starts = (i * m % n for i in range(n // gcd(m, n)))
+    rounds = [tuple(others[start:start + m]) for start in starts]
+    return tuple((targets, targets.index(min(targets)), sum(1 << p for p in (peer_id, *targets)))
+                 for targets in rounds)
 
 
 class EndorsementSystem:
@@ -214,10 +213,10 @@ class EndorsementSystem:
         return False, total_wait, -1, strategy.max_retries
 
     def _complete(self, peer: Peer, tx: int, ok: bool) -> None:
-        sim = self.sim
-        self.txs.endorse_end[tx] = sim.kernel.now
+        sim, txs = self.sim, self.txs
+        txs.endorse_end[tx] = sim.kernel.now
         if ok:
-            self.txs.status[tx] = TxStatus.ENDORSED
+            txs.status[tx] = TxStatus.ENDORSED
             sim.orderer.enqueue_endorsed(tx)
         else:
             self._drop(tx, TxStatus.DROPPED_QUORUM)

@@ -96,17 +96,17 @@ class Orderer:
         queue, store = self.queue, sim.source.txs
         block = Block(len(self.blocks) + 1, queue, store.endorse_end[queue[0]], now)
         self.blocks.append(block)
-        pool = sim.source.pool
         # Every ack lands before its transaction finishes endorsement, so a
         # transaction's holders are final once it is ordered: a peer has the
         # block's data locally iff its bit is set in the holders mask of every
         # transaction's winning round.
-        held = -1
+        bnum, bpos, rounds, endorser, won = (store.block_num, store.block_pos, store.rounds,
+                                             store.endorser, store.round)
+        num, remove, held = block.block_num, sim.source.pool.remove, -1
         for pos, tx in enumerate(queue):
-            store.block_num[tx] = block.block_num
-            store.block_pos[tx] = pos
-            held &= store.rounds[store.endorser[tx]][store.round[tx]][2]
-            pool.remove(tx)  # no longer a dependency candidate
+            bnum[tx], bpos[tx] = num, pos
+            held &= rounds[endorser[tx]][won[tx]][2]
+            remove(tx)  # no longer a dependency candidate
         block.local_data = [bool(held >> p & 1) for p in range(len(sim.peers))]
         self.queue = array("i")
         if self.overhead > 0:

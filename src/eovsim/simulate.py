@@ -118,6 +118,7 @@ class Simulation:
         self._accrue_eligibility(makespan)
         truncated = self.kernel.pending() > 0 or not self.drained()
         txs = self.source.txs
+        txs.trim()
 
         # committed blocks form a ledger prefix (every peer commits in order).
         # The orderer takes endorsed transactions FIFO, so the blocks followed
@@ -127,16 +128,11 @@ class Simulation:
         committed_prefix = blocks[:max(p.height for p in self.peers)]
         endorsed = array("i", chain(*(b.txs for b in blocks), self.orderer.queue))
         ledger = np.frombuffer(endorsed, dtype=np.intc)[:sum(b.size for b in committed_prefix)]
-        primary = self.config.workload.dependency_prob
-        invalid_by_prob = {}
-        for p, parents in txs.parents.items():
-            invalid = assign_validity(ledger, txs, parents)
-            invalid_by_prob[p] = len(invalid)
-            if p == primary:
-                primary_invalid = invalid
+        invalid = {p: assign_validity(ledger, txs, parents) for p, parents in txs.parents.items()}
+        invalid_by_prob = {p: len(ids) for p, ids in invalid.items()}
         status = np.frombuffer(txs.status, dtype=np.uint8)
         status[ledger] = TxStatus.COMMITTED_VALID
-        status[primary_invalid] = TxStatus.COMMITTED_INVALID
+        status[invalid[self.config.workload.dependency_prob]] = TxStatus.COMMITTED_INVALID
         if truncated:
             status[status == TxStatus.CREATED] = TxStatus.DROPPED_HORIZON
 
@@ -204,9 +200,10 @@ class Simulation:
         """The samples of each stage in STAGES, one list at a time, each in
         the order the run made them: endorsement order, block order, or
         commit-event order. endorsed holds the endorsed transactions' ids."""
-        start, end, created = txs.endorse_start, txs.endorse_end, txs.created_at
+        start, end, wait, created = (txs.endorse_start, txs.endorse_end, txs.quorum_wait,
+                                     txs.created_at)
         yield [end[tx] - start[tx] for tx in endorsed]
-        yield [txs.quorum_wait[tx] for tx in endorsed]
+        yield [wait[tx] for tx in endorsed]
         yield [b.creation_time for b in self.orderer.blocks]
         commits = self._commits
         yield [t.p1_duration for t in commits]

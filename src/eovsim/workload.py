@@ -43,8 +43,8 @@ class TxStore:
     in array('d'), ids, counts and ledger positions in array('i') (-1: none),
     TxStatus codes in a bytearray. round indexes the winning dissemination round
     in rounds[endorser], the endorser's (targets, designated, holders) table.
-    The columns filled after creation grow 1024 unset entries at a time, so
-    they can run past len(status), the transaction count."""
+    The columns filled after creation grow 1024 unset entries at a time until
+    trim cuts them to the transaction count."""
 
     def __init__(self, probs=()):
         self.created_at, self.endorse_start = array("d"), array("d")
@@ -68,6 +68,11 @@ class TxStore:
             for column, unset in self._later:
                 column.extend(array(column.typecode, [unset]) * 1024)
         return tx_id
+
+    def trim(self) -> None:
+        """Cut the columns filled after creation to the transaction count."""
+        for column, _ in self._later:
+            del column[len(self.status):]
 
 
 class InFlightPool:

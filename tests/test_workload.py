@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -115,6 +116,14 @@ def test_pool_mode_creates_all_at_time_zero():
     assert res.counters.created == 200
     assert all(at == 0.0 for at in res.txs.created_at)
     assert all(code == TxStatus.COMMITTED_VALID for code in res.txs.status)
+
+
+def test_every_column_holds_one_entry_per_transaction(small_cfg):
+    # the columns filled after creation grow in chunks; a finished run trims them
+    txs = run_scenario(small_cfg, collect_traces=True, extra_dep_probs=(0.3,)).txs
+    columns = [c for c in vars(txs).values() if isinstance(c, (array, bytearray))]
+    assert len(columns) == 11
+    assert {len(c) for c in (*columns, *txs.parents.values())} == {len(txs.status)}
 
 
 def test_repeated_extra_dependency_prob_counted_once(small_cfg):
