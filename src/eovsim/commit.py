@@ -61,19 +61,26 @@ def steady_state_tps(p1: float, p2: float, block_size: int, mode: str) -> float:
 class Peer:
     """One peer: its endorsement slots, its commit pipeline and its streams.
 
-    EndorsementSystem fills busy and buffer and draws from the endorse,
-    overhead and ack streams. The pipeline reads blocks from the orderer's
-    ledger: len(timings) counts those delivered here, p1_next those through
-    phase 1, and height, the phase-2 cursor, those committed. A phase is in
-    flight when its block's start stamp is set and the cursor has not passed
-    it, so kick() reads the whole pipeline state from the timings. The
-    waiting controller sets paused and boost_factor.
+    EndorsementSystem fills busy and buffer, draws from the endorse,
+    overhead and ack streams, and keeps the plans built from those draws:
+    plans holds the next endorsement outcomes (the next one last), rounds
+    the dissemination rounds resolved ahead of them (oldest first),
+    next_round the rotation position of the next round to resolve, and
+    planned the count of plans built, which sizes the next chunk.
+
+    The pipeline reads blocks from the orderer's ledger: len(timings) counts
+    those delivered here, p1_next those through phase 1, and height, the
+    phase-2 cursor, those committed. A phase is in flight when its block's
+    start stamp is set and the cursor has not passed it, so kick() reads the
+    whole pipeline state from the timings. The waiting controller sets
+    paused and boost_factor.
     """
 
     __slots__ = (
         "sim", "peer_id", "busy", "buffer", "commit_scale", "height",
         "paused", "boost_factor", "model", "mode", "timings", "p1_next",
         "endorse_stream", "overhead_stream", "ack_stream",
+        "plans", "rounds", "next_round", "planned",
         "_vscc", "_fetch", "_mvcc", "_store", "_statedb",
     )
 
@@ -92,6 +99,10 @@ class Peer:
         self.endorse_stream = sim.stream(f"peer{peer_id}.endorse")
         self.overhead_stream = sim.stream(f"peer{peer_id}.overhead")
         self.ack_stream = sim.stream(f"peer{peer_id}.ack")
+        self.plans: list = []
+        self.rounds: list = []
+        self.next_round = 0
+        self.planned = 0
         self._vscc = sim.stream(f"peer{peer_id}.vscc")
         self._fetch = sim.stream(f"peer{peer_id}.fetch")
         self._mvcc = sim.stream(f"peer{peer_id}.mvcc")

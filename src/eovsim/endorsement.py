@@ -7,12 +7,18 @@ It endorses for `execute + quorum_wait + overhead` seconds.
 Private data is pushed to m target peers during endorsement; the quorum rule
 decides how long the endorser waits on acknowledgments, and a round that
 misses its quorum is retried with fresh targets after the ack timeout.
+
+Every draw of an endorsement comes from the endorsing peer's own streams, so
+the k-th endorsement a peer begins has an outcome that depends on k alone,
+not on virtual time. EndorsementSystem.disseminate computes a peer's next
+outcomes (plans) a chunk at a time from the same draws, in the same order,
+and _begin pops one.
 """
 
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import cycle
+from itertools import repeat
 from math import gcd
 
 from .commit import Peer
@@ -20,6 +26,12 @@ from .kernel import EventKind, SimulationIntegrityError
 from .workload import TxStatus
 
 __all__ = ["eligible_endorsers", "quorum_satisfied", "EndorsementSystem"]
+
+# Plans a peer builds at a time: the first chunk is small, so a short run or
+# an idle peer draws little ahead; each next one matches the plans built so
+# far, up to the cap.
+_FIRST_PLANS = 16
+_MAX_PLANS = 256
 
 
 def eligible_endorsers(policy, heights) -> list[int]:
@@ -105,8 +117,11 @@ class EndorsementSystem:
         self.txs = txs = sim.source.txs
         self._rr = 0
         txs.rounds = [_rotation(p.peer_id, len(peers), strategy.max_peer_count) for p in peers]
-        # each peer's next (index, round), cycling through one period
-        self._rotation = [cycle(enumerate(rounds)) for rounds in txs.rounds]
+        # _failed_wait[k]: the quorum wait after k failed rounds, the ack
+        # timeout added once per failure to 0.0, left to right
+        self._failed_wait = waits = [0.0]
+        for _ in range(strategy.max_retries + 1):
+            waits.append(waits[-1] + strategy.ack_timeout)
 
     # -- routing ---------------------------------------------------------
 
@@ -166,58 +181,95 @@ class EndorsementSystem:
         """Drop tx with code, for capacity or quorum, and take it out of the
         dependency candidates."""
         self.txs.status[tx] = code
-        self.sim.source.pool.remove(tx)
+        pool = self.sim.source.pool
+        if pool is not None:
+            pool.remove(tx)
 
     # -- endorsement execution -------------------------------------------
 
     def _begin(self, peer: Peer, tx: int) -> None:
+        plans = peer.plans
+        if not plans:
+            self.disseminate(peer)
+        total, quorum_wait, won, retries, holders = plans.pop()
         kernel = self.sim.kernel
         txs = self.txs
         now = kernel.now
-        execute = self.execute_dist.sample(peer.endorse_stream)
-        overhead = self.overhead_dist.sample(peer.overhead_stream)
-        ok, quorum_wait, won, retries = self.disseminate(peer)
         txs.endorser[tx] = peer.peer_id
         txs.endorse_start[tx] = now
         txs.quorum_wait[tx] = quorum_wait
         txs.retries_used[tx] = retries
         txs.round[tx] = won  # its targets get the data: a late ack lands before the cut
-        total = execute + quorum_wait + (overhead if ok else 0.0)
         kernel.schedule(now + total, EventKind.ENDORSE_DONE,
-                        partial(self._complete, peer, tx, ok))
+                        partial(self._complete, peer, tx, holders))
 
-    def disseminate(self, peer: Peer):
-        """Run dissemination rounds for one transaction.
+    def disseminate(self, peer: Peer) -> None:
+        """Build peer's next chunk of endorsement plans into peer.plans.
 
-        All per-target ack delays are sampled up front (they complete before
-        the endorsement does, so only who holds the data matters
+        A plan is (total, quorum_wait, winning_round, retries_used, holders):
+        the endorsement's duration execute + quorum_wait + overhead, with the
+        overhead only when the quorum was met; the winning round's index in
+        the peer's table of rounds, or -1; and that round's holders mask, or
+        0. All per-target ack delays are sampled up front (they complete
+        before the endorsement does, so only who holds the data matters
         downstream). Each failed round costs the full ack timeout and is
         retried with the next targets in rotation, up to max_retries.
 
-        Returns (ok, total_quorum_wait, winning_round, retries_used), where
-        winning_round indexes the peer's table of rounds, or is -1.
+        The draws are those of one endorsement at a time, in the same order:
+        each stream serves one stage of this peer, so values drawn ahead are
+        never read elsewhere. Rounds resolved beyond the chunk's last plan
+        wait in peer.rounds for the next chunk.
         """
+        n = min(_MAX_PLANS, max(_FIRST_PLANS, peer.planned))
+        peer.planned += n
         strategy = self.strategy
         m = strategy.max_peer_count
-        rotation = self._rotation[peer.peer_id]
-        sample = self.ack_dist.sample
-        ack_stream = peer.ack_stream
-        total_wait = 0.0
-        for attempt in range(strategy.max_retries + 1):
-            index, (_, designated, _) = next(rotation)
-            delays = [sample(ack_stream) for _ in range(m)]
-            ok, wait = quorum_satisfied(strategy, delays, designated)
-            if ok:
-                return True, total_wait + wait, index, attempt
-            total_wait += strategy.ack_timeout
-        return False, total_wait, -1, strategy.max_retries
+        tries = strategy.max_retries + 1
+        failed_wait = self._failed_wait
+        table = self.txs.rounds[peer.peer_id]
+        period = len(table)
+        executes = self.execute_dist.sample_n(peer.endorse_stream, n).tolist()
+        overheads = self.overhead_dist.sample_n(peer.overhead_stream, n).tolist()
+        rounds = peer.rounds
+        plans = []
+        while len(plans) < n:
+            # resolve the next rounds in rotation order: (ok, wait, round index)
+            count = max(n - len(plans), tries)
+            start = peer.next_round
+            peer.next_round = (start + count) % period
+            indices = [(start + i) % period for i in range(count)]
+            delays = self.ack_dist.sample_n(peer.ack_stream, count * m).reshape(count, m)
+            outcomes = map(quorum_satisfied, repeat(strategy, count), delays.tolist(),
+                           [table[i][1] for i in indices])
+            rounds += [(ok, wait, i) for (ok, wait), i in zip(outcomes, indices)]
+            # plan every endorsement whose rounds are all resolved
+            pos = 0
+            while len(plans) < n and len(rounds) - pos >= tries:
+                k = len(plans)
+                for attempt in range(tries):
+                    ok, wait, index = rounds[pos + attempt]
+                    if ok:
+                        quorum_wait = failed_wait[attempt] + wait
+                        plans.append((executes[k] + quorum_wait + overheads[k], quorum_wait,
+                                      index, attempt, table[index][2]))
+                        break
+                else:
+                    quorum_wait = failed_wait[tries]
+                    plans.append((executes[k] + quorum_wait + 0.0, quorum_wait, -1, attempt, 0))
+                pos += attempt + 1
+            rounds = rounds[pos:]
+        peer.rounds = rounds
+        plans.reverse()  # pop() from the end takes them in order
+        peer.plans[:0] = plans
 
-    def _complete(self, peer: Peer, tx: int, ok: bool) -> None:
+    def _complete(self, peer: Peer, tx: int, holders: int) -> None:
+        """End tx's endorsement: holders is its winning round's holders mask,
+        0 when the quorum failed."""
         sim, txs = self.sim, self.txs
         txs.endorse_end[tx] = sim.kernel.now
-        if ok:
+        if holders:
             txs.status[tx] = TxStatus.ENDORSED
-            sim.orderer.enqueue_endorsed(tx)
+            sim.orderer.enqueue_endorsed(tx, holders)
         else:
             self._drop(tx, TxStatus.DROPPED_QUORUM)
         peer.busy -= 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
@@ -119,12 +120,20 @@ def _label_spawn_key(label: str) -> tuple[int, int]:
     )
 
 
+def _random(gen, n: int) -> np.ndarray:
+    return gen.random(n)
+
+
 class RngStream:
     """Named substream of the master seed.
 
     Identical (master_seed, stream_label) always yields the identical sample
     sequence, and streams never perturb each other: each is an independent
     PCG64 generator keyed by a hash of its label.
+
+    Each distribution key (family and parameters) has one buffer of its next
+    draws, which the scalar methods pop one at a time and the plural ones
+    read n at a time, so a key read both ways keeps one order.
     """
 
     __slots__ = ("label", "_master_seed", "_gen", "_buffers")
@@ -137,15 +146,29 @@ class RngStream:
 
     # Chunked draws: ~50x cheaper than per-call Generator dispatch in the
     # hot event loop. Order of delivered values is unaffected.
-    def _refill(self, key, draw) -> list[float]:
+    def _refill(self, key, draw) -> array:
         if self._gen is None:
             seq = np.random.SeedSequence(self._master_seed,
                                          spawn_key=_label_spawn_key(self.label))
             self._gen = np.random.Generator(np.random.PCG64(seq))
-        buf = draw(self._gen, _SAMPLE_CHUNK).tolist()
-        buf.reverse()  # pop() from the end preserves draw order
-        self._buffers[key] = buf
+        # reversed, so pop() from the end preserves draw order
+        buf = self._buffers[key] = array("d", draw(self._gen, _SAMPLE_CHUNK)[::-1].tobytes())
         return buf
+
+    def _take(self, key, draw, n: int) -> np.ndarray:
+        """The next n values of key's sequence, in draw order."""
+        out = np.empty(n)
+        done = 0
+        while done < n:
+            buf = self._buffers.get(key)
+            if not buf:
+                buf = self._refill(key, draw)
+            k = min(n - done, len(buf))
+            # the view is gone after this statement, so del may shrink buf
+            out[done:done + k] = np.frombuffer(buf, np.float64)[:-k - 1:-1]
+            del buf[-k:]
+            done += k
+        return out
 
     def exponential(self, mean: float) -> float:
         buf = self._buffers.get(("exp", mean))
@@ -153,21 +176,43 @@ class RngStream:
             buf = self._refill(("exp", mean), lambda g, n: g.exponential(mean, n))
         return buf.pop()
 
+    def exponentials(self, mean: float, n: int) -> np.ndarray:
+        return self._take(("exp", mean), lambda g, k: g.exponential(mean, k), n)
+
     def normal(self, mean: float, std: float) -> float:
         buf = self._buffers.get(("norm", mean, std))
         if not buf:
             buf = self._refill(("norm", mean, std), lambda g, n: g.normal(mean, std, n))
         return buf.pop()
 
+    def normals(self, mean: float, std: float, n: int) -> np.ndarray:
+        return self._take(("norm", mean, std), lambda g, k: g.normal(mean, std, k), n)
+
     def uniform(self) -> float:
         buf = self._buffers.get("u")
         if not buf:
-            buf = self._refill("u", lambda g, n: g.random(n))
+            buf = self._refill("u", _random)
         return buf.pop()
+
+    def uniforms(self, n: int) -> np.ndarray:
+        return self._take("u", _random, n)
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         return min(int(self.uniform() * n), n - 1)
+
+    def bernoulli_index(self, p: float, n: int) -> int:
+        """With probability p, and only when n > 0, a uniform integer in
+        [0, n); -1 otherwise. One uniform draw decides, and one more picks
+        the index: the draws of uniform() < p, then randint(n)."""
+        buf = self._buffers.get("u")
+        if not buf:
+            buf = self._refill("u", _random)
+        if buf.pop() < p and n > 0:
+            if not buf:
+                buf = self._refill("u", _random)
+            return min(int(buf.pop() * n), n - 1)
+        return -1
 
 
 # The parameters each distribution family reads; scale and per_tx apply to all.
@@ -254,4 +299,29 @@ class DistributionSpec:
             v = self.samples[stream.randint(len(self.samples))]
         if self.per_tx:
             v += self.per_tx * block_size
+        return v * self.scale
+
+    def sample_n(self, stream: RngStream, n: int) -> np.ndarray:
+        """The next n samples as one array: the values, in order, and the
+        draws of n sample(stream) calls. A truncated normal keeps the
+        stream's values that are not below zero, reading no further than the
+        n-th."""
+        if self.family == "constant":
+            v = np.full(n, self.value)
+        elif self.family == "exponential":
+            v = stream.exponentials(self.mean, n)
+        elif self.family == "normal":
+            v = np.empty(n)
+            done = 0
+            while done < n:
+                chunk = stream.normals(self.mean, self.std, n - done)
+                chunk = chunk[~(chunk < 0.0)]
+                v[done:done + len(chunk)] = chunk
+                done += len(chunk)
+        else:
+            k = len(self.samples)
+            index = np.minimum((stream.uniforms(n) * k).astype(np.intp), k - 1)
+            v = np.array(self.samples)[index]
+        if self.per_tx:
+            v = v + 0.0  # sample() adds per_tx * block_size, and block_size is 0
         return v * self.scale

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from array import array
 
+import numpy as np
+
 from .kernel import EventKind
 
 __all__ = ["Block", "Orderer"]
@@ -38,13 +40,20 @@ class Block:
 
 class Orderer:
     """The ordering service: the FIFO queue of endorsed transactions' ids,
-    the ledger of cut blocks, and their delivery to the peers."""
+    the ledger of cut blocks, and their delivery to the peers.
+
+    held is the AND of the queued transactions' holders masks (-1 for an
+    empty queue): every ack lands before its transaction finishes
+    endorsement, so a transaction's holders are final once it is enqueued,
+    and a peer has a block's private data locally iff its bit is set in
+    every one."""
 
     def __init__(self, sim):
         self.sim = sim
         self.rule = sim.config.cut_rule
         self.overhead = sim.config.ordering_overhead
         self.queue = array("i")
+        self.held = -1
         self.blocks: list[Block] = []
         self._timeout_handle = None
 
@@ -54,7 +63,8 @@ class Orderer:
 
     # -- enqueue -----------------------------------------------------------
 
-    def enqueue_endorsed(self, tx: int) -> None:
+    def enqueue_endorsed(self, tx: int, holders: int) -> None:
+        """Queue endorsed tx, whose winning round's holders mask is holders."""
         if not self.queue and self.rule.kind == "size_with_timeout":
             sim = self.sim
             # the orderer holds this entry until the cut, so the entry's
@@ -63,6 +73,7 @@ class Orderer:
                 sim.kernel.now + self.rule.timeout, EventKind.BLOCK_CUT,
                 lambda sim=sim: sim.orderer.cut_block())
         self.queue.append(tx)
+        self.held &= holders
         if self.rule.kind == "size_with_timeout" and len(self.queue) >= self.rule.block_size:
             self.cut_block()
 
@@ -96,19 +107,19 @@ class Orderer:
         queue, store = self.queue, sim.source.txs
         block = Block(len(self.blocks) + 1, queue, store.endorse_end[queue[0]], now)
         self.blocks.append(block)
-        # Every ack lands before its transaction finishes endorsement, so a
-        # transaction's holders are final once it is ordered: a peer has the
-        # block's data locally iff its bit is set in the holders mask of every
-        # transaction's winning round.
-        bnum, bpos, rounds, endorser, won = (store.block_num, store.block_pos, store.rounds,
-                                             store.endorser, store.round)
-        num, remove, held = block.block_num, sim.source.pool.remove, -1
-        for pos, tx in enumerate(queue):
-            bnum[tx], bpos[tx] = num, pos
-            held &= rounds[endorser[tx]][won[tx]][2]
-            remove(tx)  # no longer a dependency candidate
+        # temporary views of the columns: TxStore.add grows them, and a view
+        # that outlived the cut would pin their size
+        ids = np.frombuffer(queue, np.intc)
+        np.frombuffer(store.block_num, np.intc)[ids] = block.block_num
+        np.frombuffer(store.block_pos, np.intc)[ids] = np.arange(len(ids))
+        pool = sim.source.pool
+        if pool is not None:
+            for tx in queue:
+                pool.remove(tx)  # no longer a dependency candidate
+        held = self.held
         block.local_data = [bool(held >> p & 1) for p in range(len(sim.peers))]
         self.queue = array("i")
+        self.held = -1
         if self.overhead > 0:
             sim.kernel.schedule(now + self.overhead, EventKind.GENERIC,
                                 lambda: self._deliver(block))

@@ -98,8 +98,8 @@ class InFlightPool:
             self._items[i] = last
             self._index[last] = i
 
-    def choose(self, stream: RngStream) -> int:
-        return self._items[stream.randint(len(self._items))]
+    def __getitem__(self, i: int) -> int:
+        return self._items[i]
 
 
 def draw_parent(pool: InFlightPool, p: float, stream: RngStream) -> int:
@@ -108,8 +108,10 @@ def draw_parent(pool: InFlightPool, p: float, stream: RngStream) -> int:
     Consumes one bernoulli draw when p > 0, plus one index draw when a
     parent is chosen, and touches no other stream.
     """
-    if p > 0.0 and stream.uniform() < p and len(pool) > 0:
-        return pool.choose(stream)
+    if p > 0.0:
+        i = stream.bernoulli_index(p, len(pool))
+        if i >= 0:
+            return pool[i]
     return -1
 
 
@@ -125,13 +127,14 @@ class ArrivalSource:
     the batch waits in unpulled, in creation order, for free slots of
     eligible peers (see EndorsementSystem.fill). txs is the run's TxStore,
     with a parents column per dependency probability, the configured first.
+    pool holds the dependency candidates, and is None when every probability
+    is 0: then nothing draws a parent from it.
     """
 
     def __init__(self, sim, extra_probs=()):
         workload_cfg = sim.config.workload
         self.sim = sim
         self.cfg = workload_cfg
-        self.pool = InFlightPool()
         self._active_clients = 0
         self._pooled = workload_cfg.arrival_process == "pool"
         self.unpulled: deque[int] = deque()
@@ -141,6 +144,7 @@ class ArrivalSource:
         # float keys: the stream label is repr(p), and 1 must draw as 1.0 does
         probs = dict.fromkeys(float(p) for p in (workload_cfg.dependency_prob, *extra_probs))
         self.txs = TxStore(probs)
+        self.pool = InFlightPool() if any(p > 0.0 for p in probs) else None
         self._draws = [(p, sim.stream(dependency_stream_label(p)), self.txs.parents[p])
                        for p in probs]
 
@@ -183,7 +187,8 @@ class ArrivalSource:
         pool = self.pool
         for p, stream, parents in self._draws:
             parents.append(draw_parent(pool, p, stream) if p > 0.0 else -1)
-        pool.add(tx_id)
+        if pool is not None:
+            pool.add(tx_id)
         return tx_id
 
     def exhausted(self) -> bool:

@@ -353,9 +353,9 @@ def test_cli_conservation_failure_exit_3(tmp_path, monkeypatch, capsys):
     from eovsim.ordering import Orderer
     orig = Orderer.enqueue_endorsed
 
-    def lost(self, tx):
+    def lost(self, tx, holders):
         if tx != 0:  # tx 0's endorsement never reaches the orderer
-            orig(self, tx)
+            orig(self, tx, holders)
 
     monkeypatch.setattr(Orderer, "enqueue_endorsed", lost)
     cfg = tiny_config(out_dir=str(tmp_path / "out"))

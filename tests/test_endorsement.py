@@ -91,15 +91,17 @@ def test_single_target_single_ack():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_rotation_table_matches_per_round_formula(n):
-    # the table each peer cycles through must give, round after round, the
-    # targets and designated index of the per-round formula: start at
-    # rr % len(others), advance rr by m, designate the lowest target id
+    # the table each peer cycles through, one entry per round, must give,
+    # round after round, the targets and designated index of the per-round
+    # formula: start at rr % len(others), advance rr by m, designate the
+    # lowest target id
     for m in range(1, n):
         cfg = tiny_config(
             peers=replace(tiny_config().peers, count=n),
             dissemination=DisseminationStrategy(max_peer_count=m, required_peer_count=1))
         es = Simulation(cfg).endorsement
         for pid in range(n):
+            rotation = itertools.cycle(enumerate(es.txs.rounds[pid]))
             others = [q for q in range(n) if q != pid]
             period = len(others) // math.gcd(m, len(others))
             rr = 0
@@ -110,7 +112,7 @@ def test_rotation_table_matches_per_round_formula(n):
                     start = rr % len(others)
                     rr += m
                     expected = [others[(start + k) % len(others)] for k in range(m)]
-                index, (targets, designated, holders) = next(es._rotation[pid])
+                index, (targets, designated, holders) = next(rotation)
                 # the index a transaction stores reads the same round back
                 assert index == i % period
                 assert es.txs.rounds[pid][index] == (targets, designated, holders)

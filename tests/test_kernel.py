@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import pytest
 
@@ -168,6 +169,68 @@ def test_non_finite_distribution_params_rejected(build):
     # break its order, so the run would report a partial, wrong result
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+# Chunk reads: sample_n(stream, n) must give the values, in order, and make the
+# draws of n sample() calls, whatever the stream's earlier reads. Values are
+# compared bit for bit, so a -0.0 where sample() gives 0.0 fails.
+
+FAMILIES = {
+    "constant": D.constant(0.2, scale=1.5),
+    "exponential": D.exponential(0.3, scale=0.5),
+    "normal": D.normal(0.001, 0.05),  # about half the draws are truncated
+    "empirical": D.empirical([0.1, 0.25, 0.4], scale=2.0),
+    "empirical with per_tx": D.empirical([-0.0, 0.3], per_tx=0.002),  # -0.0 + 0.0
+}
+
+
+def _bits(values):
+    return array("d", values).tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_chunk_draws_equal_scalar_draws(family):
+    dist = FAMILIES[family]
+    scalar, chunked = _stream("peer0.ack"), _stream("peer0.ack")
+    expected = [dist.sample(scalar) for _ in range(9000)]
+    # 4000 + 300 crosses the first 4096-draw chunk inside one read
+    got = [*dist.sample_n(chunked, 4000), *dist.sample_n(chunked, 300),
+           *dist.sample_n(chunked, 0), *dist.sample_n(chunked, 4700)]
+    assert _bits(got) == _bits(expected)
+    assert dist.sample(scalar) == dist.sample(chunked)  # the next draw lines up too
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_chunk_and_scalar_reads_interleave_on_one_key(family):
+    dist = FAMILIES[family]
+    scalar, mixed = _stream("mix"), _stream("mix")
+    expected = [dist.sample(scalar) for _ in range(12000)]
+    got = []
+    for i, n in enumerate([1, 5, 4090, 3, 2, 4096, 1, 3000, 7, 795]):
+        got += (dist.sample_n(mixed, n).tolist() if i % 2
+                else [dist.sample(mixed) for _ in range(n)])
+    assert _bits(got) == _bits(expected)
+
+
+def test_two_specs_share_one_stream():
+    # pvt_fetch_local and pvt_fetch_remote both draw from peer{i}.fetch; two
+    # specs with one key (same family and parameters) share its buffer
+    local, remote = D.exponential(0.02), D.exponential(0.02, scale=3.0)
+    other = D.normal(0.01, 0.02)
+    reads = [(local, 3), (remote, 4100), (other, 50), (local, 1), (other, 4090), (remote, 9)]
+    scalar, chunked = _stream("peer1.fetch"), _stream("peer1.fetch")
+    expected = [dist.sample(scalar) for dist, n in reads for _ in range(n)]
+    got = [v for dist, n in reads for v in dist.sample_n(chunked, n).tolist()]
+    assert _bits(got) == _bits(expected)
+
+
+def test_bernoulli_index_draws_as_uniform_then_randint():
+    one_call, two_calls = _stream("dep"), _stream("dep")
+    for i in range(10_000):
+        p, n = (0.0, 0.3, 0.9, 1.0)[i % 4], i % 5
+        expected = two_calls.randint(n) if two_calls.uniform() < p and n > 0 else -1
+        assert one_call.bernoulli_index(p, n) == expected
+    assert one_call.uniform() == two_calls.uniform()
 
 
 def test_per_tx_affine_term():

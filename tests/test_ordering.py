@@ -134,9 +134,9 @@ def test_lost_endorsed_transaction_raises_integrity_error(monkeypatch):
     orig = Orderer.enqueue_endorsed
     lost = []
 
-    def lossy(self, tx):
+    def lossy(self, tx, holders):
         if lost:
-            orig(self, tx)
+            orig(self, tx, holders)
         else:
             lost.append(tx)
 

@@ -2,6 +2,7 @@
 
 import gc
 from dataclasses import fields, replace
+from itertools import cycle
 from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from eovsim import (
     EndorseLatencyModel,
     LeaderPolicy,
     PeerGroupConfig,
+    RngStream,
     ScenarioConfig,
     WaitingPolicy,
     WorkloadConfig,
@@ -452,6 +454,90 @@ def test_block_local_data_matches_dissemination_trace(cfg):
         for p in range(cfg.peers.count):
             assert block.local_data[p] == all(
                 p == txs.endorser[tx] or p in disseminated_to(txs, tx) for tx in block.txs)
+
+
+# -- endorsement plans ------------------------------------------------------------
+#
+# EndorsementSystem.disseminate computes a peer's endorsement outcomes a chunk
+# at a time. The reference below is the draw sequence of one endorsement at a
+# time: execute, overhead, then rounds of m acks through quorum_satisfied, the
+# rotation advancing on every round. Both must give each transaction the same
+# outcome, bit for bit.
+
+@st.composite
+def _endorse_stage(draw):
+    """A stage distribution that reaches the plan path's edges: truncation
+    with a mean near 0, empirical draws, -0.0 samples, acks past the timeout."""
+    kind = draw(st.sampled_from(("any", "near-zero normal", "empirical", "signed zero", "slow")))
+    if kind == "any":
+        return draw(_dist())
+    if kind == "near-zero normal":
+        return D.normal(draw(st.floats(0.0, 0.002)), draw(_small))
+    if kind == "empirical":
+        return D.empirical(draw(st.lists(st.sampled_from([-0.0, 0.0, 0.004, 0.03, 0.3, 0.9]),
+                                         min_size=1, max_size=5)))
+    if kind == "signed zero":
+        return D.constant(-0.0)
+    return D.exponential(draw(st.floats(0.05, 0.5)))
+
+
+@st.composite
+def plan_scenario(draw):
+    cfg = draw(st.one_of(scenario(), waiting_scenario()))
+    n = cfg.peers.count
+    m = draw(st.integers(1, n - 1))
+    rule = draw(st.sampled_from(("(m,1)", "(m,1*)", "(m,m)")))
+    return replace(
+        cfg,
+        dissemination=DisseminationStrategy(
+            max_peer_count=m, required_peer_count=m if rule == "(m,m)" else 1,
+            relaxed=rule == "(m,1*)", ack_timeout=draw(st.floats(0.05, 0.5)),
+            max_retries=draw(st.integers(0, 2))),
+        endorse_model=EndorseLatencyModel(execute=draw(_endorse_stage()),
+                                          overhead=draw(_endorse_stage()),
+                                          ack=draw(_endorse_stage())))
+
+
+def _reference_endorsements(cfg, peer_id, rounds):
+    """Peer peer_id's endorsements in the order it begins them, drawn one at a
+    time: (ok, quorum_wait, winning round or -1, retries, total)."""
+    model, strategy = cfg.endorse_model, cfg.dissemination
+    endorse, overhead_stream, ack = (RngStream(cfg.seed, f"peer{peer_id}.{stage}")
+                                     for stage in ("endorse", "overhead", "ack"))
+    rotation = cycle(enumerate(rounds))
+    while True:
+        execute = model.execute.sample(endorse)
+        overhead = model.overhead.sample(overhead_stream)
+        total_wait = 0.0
+        for attempt in range(strategy.max_retries + 1):
+            index, (_, designated, _) = next(rotation)
+            delays = [model.ack.sample(ack) for _ in range(strategy.max_peer_count)]
+            ok, wait = quorum_satisfied(strategy, delays, designated)
+            if ok:
+                quorum_wait = total_wait + wait
+                break
+            total_wait += strategy.ack_timeout
+        else:
+            quorum_wait, index = total_wait, -1
+        yield ok, quorum_wait, index, attempt, execute + quorum_wait + (overhead if ok else 0.0)
+
+
+@CASES
+@given(plan_scenario())
+def test_endorsement_plans_match_one_at_a_time_draws(cfg):
+    txs = run_scenario(cfg, collect_traces=True).txs
+    for peer_id, rounds in enumerate(txs.rounds):
+        # a peer starts its transactions in id order: its gateway buffer and
+        # the pool batch are both FIFO in creation order
+        mine = [tx for tx, p in enumerate(txs.endorser) if p == peer_id]
+        for tx, (ok, quorum_wait, won, retries, total) in zip(
+                mine, _reference_endorsements(cfg, peer_id, rounds)):
+            assert txs.round[tx] == won
+            assert txs.retries_used[tx] == retries
+            assert repr(txs.quorum_wait[tx]) == repr(quorum_wait)  # -0.0 is not 0.0
+            if txs.endorse_end[tx] >= 0:  # completed before the horizon
+                assert txs.endorse_end[tx] == txs.endorse_start[tx] + total
+                assert (txs.status[tx] == TxStatus.DROPPED_QUORUM) == (not ok)
 
 
 # -- time scaling ----------------------------------------------------------------

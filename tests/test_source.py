@@ -85,6 +85,15 @@ def test_endorsements_start_only_from_fill():
     assert increments == [fill]
 
 
+def test_endorsement_draws_only_through_plans():
+    # disseminate draws every endorsement stage a chunk at a time, and resolves
+    # every dissemination round with quorum_satisfied, the one quorum rule
+    assert [site for site in _call_sites("sample") if site[0] == "endorsement.py"] == []
+    uses = _sites(lambda node: isinstance(node, ast.Name) and node.id == "quorum_satisfied")
+    assert [site for site in uses if site[0] == "endorsement.py"] == [
+        ("endorsement.py", "EndorsementSystem", "disseminate")]
+
+
 def test_no_transaction_class():
     # a run's transactions are TxStore's columns, indexed by tx_id; an object
     # per transaction would bring back its boxed fields

@@ -4,6 +4,8 @@ from array import array
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 import eovsim
 from eovsim import InFlightPool, RngStream, draw_parent, run_scenario
 from eovsim.presets import preset
@@ -142,12 +144,11 @@ def test_integer_dependency_prob_draws_like_its_float(small_cfg):
     assert as_int.invalid_by_prob[1.0] == alone.counters.committed_invalid_mvcc
 
 
-def test_live_bytes_per_transaction_stay_columnar(monkeypatch):
-    # the benchmark's tiny blocksize-high shape: 8000 transactions in blocks
-    # of 500. At _finalize entry the package's own lines hold ~100 B per
-    # transaction in TxStore's columns and the blocks' id arrays; an object
-    # per transaction with boxed fields held ~300 B. kernel.py is left out:
-    # its RNG streams hold fixed 4096-draw buffers whatever the count.
+@pytest.fixture(scope="module")
+def live_bytes_at_finalize():
+    """The benchmark's tiny blocksize-high shape, 8000 transactions in blocks
+    of 500: (created, package bytes outside kernel.py, kernel.py bytes) live
+    at _finalize entry, by tracemalloc."""
     package = Path(eovsim.__file__).parent
     base = preset("blocksize-high")
     cfg = replace(base, seed=1, workload=replace(base.workload, duration=2.0),
@@ -157,16 +158,34 @@ def test_live_bytes_per_transaction_stay_columnar(monkeypatch):
 
     def measured(sim):
         snapshot = tracemalloc.take_snapshot().filter_traces(
-            [tracemalloc.Filter(True, str(package / "*")),
-             tracemalloc.Filter(False, str(package / "kernel.py"))])
-        live.append(sum(trace.size for trace in snapshot.traces))
+            [tracemalloc.Filter(True, str(package / "*"))])
+        kernel = snapshot.filter_traces([tracemalloc.Filter(True, str(package / "kernel.py"))])
+        total, in_kernel = (sum(trace.size for trace in s.traces) for s in (snapshot, kernel))
+        live.append((total - in_kernel, in_kernel))
         return finalize(sim)
 
-    monkeypatch.setattr(Simulation, "_finalize", measured)
-    tracemalloc.start()
-    try:
-        res = run_scenario(cfg, collect_traces=False)
-    finally:
-        tracemalloc.stop()
-    assert res.counters.created == 8000
-    assert live[0] / res.counters.created <= 128
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulation, "_finalize", measured)
+        tracemalloc.start()
+        try:
+            res = run_scenario(cfg, collect_traces=False)
+        finally:
+            tracemalloc.stop()
+    return (res.counters.created, *live[0])
+
+
+def test_live_bytes_per_transaction_stay_columnar(live_bytes_at_finalize):
+    # At _finalize entry the package's own lines hold ~100 B per
+    # transaction in TxStore's columns and the blocks' id arrays; an object
+    # per transaction with boxed fields held ~300 B. kernel.py is left out:
+    # its RNG streams hold fixed 4096-draw buffers whatever the count.
+    created, package, _ = live_bytes_at_finalize
+    assert created == 8000
+    assert package / created <= 128
+
+
+def test_rng_buffers_stay_typed(live_bytes_at_finalize):
+    # each stream key's next draws are one array('d') of 4096 (32 KiB); as
+    # lists of boxed floats (~131 KB a key) the shape's streams held 1.28 MB
+    _, _, in_kernel = live_bytes_at_finalize
+    assert in_kernel <= 640_000
