@@ -61,12 +61,9 @@ def steady_state_tps(p1: float, p2: float, block_size: int, mode: str) -> float:
 class Peer:
     """One peer: its endorsement slots, its commit pipeline and its streams.
 
-    EndorsementSystem fills busy and buffer, draws from the endorse,
-    overhead and ack streams, and keeps the plans built from those draws:
-    plans holds the next endorsement outcomes (the next one last), rounds
-    the dissemination rounds resolved ahead of them (oldest first),
-    next_round the rotation position of the next round to resolve, and
-    planned the count of plans built, which sizes the next chunk.
+    EndorsementSystem fills busy and buffer, and sets plans, the generator
+    of this peer's endorsement outcomes, drawn from the endorse, overhead
+    and ack streams.
 
     The pipeline reads blocks from the orderer's ledger: len(timings) counts
     those delivered here, p1_next those through phase 1, and height, the
@@ -80,7 +77,7 @@ class Peer:
         "sim", "peer_id", "busy", "buffer", "commit_scale", "height",
         "paused", "boost_factor", "model", "mode", "timings", "p1_next",
         "endorse_stream", "overhead_stream", "ack_stream",
-        "plans", "rounds", "next_round", "planned",
+        "plans",
         "_vscc", "_fetch", "_mvcc", "_store", "_statedb",
     )
 
@@ -99,10 +96,6 @@ class Peer:
         self.endorse_stream = sim.stream(f"peer{peer_id}.endorse")
         self.overhead_stream = sim.stream(f"peer{peer_id}.overhead")
         self.ack_stream = sim.stream(f"peer{peer_id}.ack")
-        self.plans: list = []
-        self.rounds: list = []
-        self.next_round = 0
-        self.planned = 0
         self._vscc = sim.stream(f"peer{peer_id}.vscc")
         self._fetch = sim.stream(f"peer{peer_id}.fetch")
         self._mvcc = sim.stream(f"peer{peer_id}.mvcc")
@@ -148,7 +141,7 @@ class Peer:
                 and (self.mode == "pipelined" or self.height == idx)):
             block = sim.orderer.blocks[idx]
             size = block.size
-            fetch_dist = (model.pvt_fetch_local if block.local_data[self.peer_id]
+            fetch_dist = (model.pvt_fetch_local if block.holders >> self.peer_id & 1
                           else model.pvt_fetch_remote)
             dur = ((model.vscc.sample(self._vscc, size) * model.vscc_core_scale
                     + fetch_dist.sample(self._fetch, size))
@@ -215,7 +208,7 @@ def bench_commit(p1_dist, p2_dist, block_size: int, mode: str, n_blocks: int,
     txs = [None] * block_size
     for i in range(n_blocks):
         block = Block(i + 1, txs, 0.0, 0.0)
-        block.local_data = [True]
+        block.holders = 1
         sim.orderer.blocks.append(block)
         peer.on_block_delivered(block)
     sim.kernel.run_until()

@@ -10,15 +10,15 @@ misses its quorum is retried with fresh targets after the ack timeout.
 
 Every draw of an endorsement comes from the endorsing peer's own streams, so
 the k-th endorsement a peer begins has an outcome that depends on k alone,
-not on virtual time. EndorsementSystem.disseminate computes a peer's next
-outcomes (plans) a chunk at a time from the same draws, in the same order,
-and _begin pops one.
+not on virtual time. Each peer's outcomes (plans) are one generator,
+_plans, that draws them a chunk at a time in the same order, and _begin
+takes the next one.
 """
 
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import repeat
+from itertools import cycle
 from math import gcd
 
 from .commit import Peer
@@ -27,8 +27,8 @@ from .workload import TxStatus
 
 __all__ = ["eligible_endorsers", "quorum_satisfied", "EndorsementSystem"]
 
-# Plans a peer builds at a time: the first chunk is small, so a short run or
-# an idle peer draws little ahead; each next one matches the plans built so
+# Plans a peer draws at a time: the first chunk is small, so a short run or
+# an idle peer draws little ahead; each next one matches the plans drawn so
 # far, up to the cap.
 _FIRST_PLANS = 16
 _MAX_PLANS = 256
@@ -99,6 +99,50 @@ def _rotation(peer_id: int, n_peers: int, m: int) -> tuple[tuple[tuple[int, ...]
                  for targets in rounds)
 
 
+def _plans(strategy, endorse_model, endorse_stream, overhead_stream, ack_stream, table):
+    """A peer's endorsement plans, in the order it begins them, forever.
+
+    A plan is (total, quorum_wait, winning_round, retries_used, holders):
+    the endorsement's duration execute + quorum_wait + overhead, with the
+    overhead only when the quorum was met; the winning round's index in
+    table, the peer's rounds, or -1; and that round's holders mask, or 0.
+    All per-target ack delays are sampled up front (they complete before the
+    endorsement does, so only who holds the data matters downstream). Each
+    failed round costs the full ack timeout and is retried with the next
+    targets in rotation, up to max_retries.
+
+    The draws are those of one endorsement at a time, in the same order:
+    each stream serves one stage of this peer, so values drawn ahead a chunk
+    at a time are never read elsewhere. A round is resolved only when its
+    plan is taken.
+    """
+    m = strategy.max_peer_count
+    tries = range(strategy.max_retries + 1)
+    rotation = cycle(enumerate(table))
+    rows = []  # ack delays drawn ahead, one m-wide row per round, next last
+    planned = 0
+    while True:
+        n = min(_MAX_PLANS, max(_FIRST_PLANS, planned))
+        planned += n
+        executes = endorse_model.execute.sample_n(endorse_stream, n).tolist()
+        overheads = endorse_model.overhead.sample_n(overhead_stream, n).tolist()
+        for execute, overhead in zip(executes, overheads):
+            quorum_wait = 0.0
+            for attempt in tries:
+                if not rows:
+                    rows = endorse_model.ack.sample_n(ack_stream, n * m).reshape(n, m).tolist()
+                    rows.reverse()
+                won, (_, designated, holders) = next(rotation)
+                ok, wait = quorum_satisfied(strategy, rows.pop(), designated)
+                if ok:
+                    quorum_wait += wait
+                    yield execute + quorum_wait + overhead, quorum_wait, won, attempt, holders
+                    break
+                quorum_wait += strategy.ack_timeout
+            else:
+                yield execute + quorum_wait + 0.0, quorum_wait, -1, attempt, 0
+
+
 class EndorsementSystem:
     """All peers' endorsement state plus the shared router."""
 
@@ -108,20 +152,14 @@ class EndorsementSystem:
         self.peers = peers = sim.peers
         self.policy = config.leader
         self.strategy = strategy = config.dissemination
-        self.execute_dist = config.endorse_model.execute
-        self.overhead_dist = config.endorse_model.overhead
-        self.ack_dist = config.endorse_model.ack
         self.concurrency = config.peers.endorse_concurrency
         self.buffer_cap = config.peers.gateway_buffer
         self._unpulled = sim.source.unpulled
         self.txs = txs = sim.source.txs
         self._rr = 0
         txs.rounds = [_rotation(p.peer_id, len(peers), strategy.max_peer_count) for p in peers]
-        # _failed_wait[k]: the quorum wait after k failed rounds, the ack
-        # timeout added once per failure to 0.0, left to right
-        self._failed_wait = waits = [0.0]
-        for _ in range(strategy.max_retries + 1):
-            waits.append(waits[-1] + strategy.ack_timeout)
+        for peer in peers:
+            peer.plans = self.disseminate(peer)
 
     # -- routing ---------------------------------------------------------
 
@@ -188,10 +226,7 @@ class EndorsementSystem:
     # -- endorsement execution -------------------------------------------
 
     def _begin(self, peer: Peer, tx: int) -> None:
-        plans = peer.plans
-        if not plans:
-            self.disseminate(peer)
-        total, quorum_wait, won, retries, holders = plans.pop()
+        total, quorum_wait, won, retries, holders = next(peer.plans)
         kernel = self.sim.kernel
         txs = self.txs
         now = kernel.now
@@ -203,64 +238,12 @@ class EndorsementSystem:
         kernel.schedule(now + total, EventKind.ENDORSE_DONE,
                         partial(self._complete, peer, tx, holders))
 
-    def disseminate(self, peer: Peer) -> None:
-        """Build peer's next chunk of endorsement plans into peer.plans.
-
-        A plan is (total, quorum_wait, winning_round, retries_used, holders):
-        the endorsement's duration execute + quorum_wait + overhead, with the
-        overhead only when the quorum was met; the winning round's index in
-        the peer's table of rounds, or -1; and that round's holders mask, or
-        0. All per-target ack delays are sampled up front (they complete
-        before the endorsement does, so only who holds the data matters
-        downstream). Each failed round costs the full ack timeout and is
-        retried with the next targets in rotation, up to max_retries.
-
-        The draws are those of one endorsement at a time, in the same order:
-        each stream serves one stage of this peer, so values drawn ahead are
-        never read elsewhere. Rounds resolved beyond the chunk's last plan
-        wait in peer.rounds for the next chunk.
-        """
-        n = min(_MAX_PLANS, max(_FIRST_PLANS, peer.planned))
-        peer.planned += n
-        strategy = self.strategy
-        m = strategy.max_peer_count
-        tries = strategy.max_retries + 1
-        failed_wait = self._failed_wait
-        table = self.txs.rounds[peer.peer_id]
-        period = len(table)
-        executes = self.execute_dist.sample_n(peer.endorse_stream, n).tolist()
-        overheads = self.overhead_dist.sample_n(peer.overhead_stream, n).tolist()
-        rounds = peer.rounds
-        plans = []
-        while len(plans) < n:
-            # resolve the next rounds in rotation order: (ok, wait, round index)
-            count = max(n - len(plans), tries)
-            start = peer.next_round
-            peer.next_round = (start + count) % period
-            indices = [(start + i) % period for i in range(count)]
-            delays = self.ack_dist.sample_n(peer.ack_stream, count * m).reshape(count, m)
-            outcomes = map(quorum_satisfied, repeat(strategy, count), delays.tolist(),
-                           [table[i][1] for i in indices])
-            rounds += [(ok, wait, i) for (ok, wait), i in zip(outcomes, indices)]
-            # plan every endorsement whose rounds are all resolved
-            pos = 0
-            while len(plans) < n and len(rounds) - pos >= tries:
-                k = len(plans)
-                for attempt in range(tries):
-                    ok, wait, index = rounds[pos + attempt]
-                    if ok:
-                        quorum_wait = failed_wait[attempt] + wait
-                        plans.append((executes[k] + quorum_wait + overheads[k], quorum_wait,
-                                      index, attempt, table[index][2]))
-                        break
-                else:
-                    quorum_wait = failed_wait[tries]
-                    plans.append((executes[k] + quorum_wait + 0.0, quorum_wait, -1, attempt, 0))
-                pos += attempt + 1
-            rounds = rounds[pos:]
-        peer.rounds = rounds
-        plans.reverse()  # pop() from the end takes them in order
-        peer.plans[:0] = plans
+    def disseminate(self, peer: Peer):
+        """Peer's endorsement plans, a _plans generator. It holds the peer's
+        streams and round table, not the peer, so a run stays free of
+        reference cycles."""
+        return _plans(self.strategy, self.sim.config.endorse_model, peer.endorse_stream,
+                      peer.overhead_stream, peer.ack_stream, self.txs.rounds[peer.peer_id])
 
     def _complete(self, peer: Peer, tx: int, holders: int) -> None:
         """End tx's endorsement: holders is its winning round's holders mask,

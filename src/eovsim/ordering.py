@@ -21,7 +21,7 @@ __all__ = ["Block", "Orderer"]
 
 class Block:
     __slots__ = ("block_num", "txs", "first_enqueued_at", "cut_at",
-                 "creation_time", "local_data", "first_commit_at")
+                 "creation_time", "holders", "first_commit_at")
 
     def __init__(self, block_num: int, txs: array,
                  first_enqueued_at: float, cut_at: float):
@@ -30,7 +30,7 @@ class Block:
         self.first_enqueued_at = first_enqueued_at
         self.cut_at = cut_at
         self.creation_time = cut_at - first_enqueued_at
-        self.local_data: list[bool] = []  # per peer: holds every tx's private data
+        self.holders = 0  # bit p: peer p holds every tx's private data
         self.first_commit_at = -1.0
 
     @property
@@ -116,8 +116,7 @@ class Orderer:
         if pool is not None:
             for tx in queue:
                 pool.remove(tx)  # no longer a dependency candidate
-        held = self.held
-        block.local_data = [bool(held >> p & 1) for p in range(len(sim.peers))]
+        block.holders = self.held
         self.queue = array("i")
         self.held = -1
         if self.overhead > 0:

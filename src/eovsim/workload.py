@@ -170,8 +170,7 @@ class ArrivalSource:
                 return
             at = (emitted + 1) / cfg.rate_per_client
         else:
-            base = self.sim.kernel.now if emitted else 0.0
-            at = base + self._gap_streams[client].exponential(1.0 / cfg.rate_per_client)
+            at = self.sim.kernel.now + self._gap_streams[client].exponential(1.0 / cfg.rate_per_client)
             if at > cfg.duration:
                 self._active_clients -= 1
                 return

@@ -7,6 +7,7 @@ import pytest
 
 from eovsim import DistributionSpec as D
 from eovsim import DisseminationStrategy, LeaderPolicy, eligible_endorsers, quorum_satisfied, run_scenario
+from eovsim import endorsement
 from eovsim.simulate import Simulation
 from eovsim.workload import TxStatus
 
@@ -257,6 +258,31 @@ def test_quorum_failure_after_retries_drops():
     assert txs.retries_used[0] == 1
     # two failed rounds, each costing the full ack timeout
     assert math.isclose(txs.quorum_wait[0], 0.4)
+
+
+def test_rounds_resolved_only_when_used(monkeypatch):
+    # a peer's plans resolve a dissemination round only when the plan that
+    # needs it is taken, so quorum_satisfied runs once per round a begun
+    # transaction used, and never ahead of it
+    calls = []
+    resolve = endorsement.quorum_satisfied
+
+    def counted(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(endorsement, "quorum_satisfied", counted)
+    base = tiny_config()
+    cfg = tiny_config(
+        endorse_model=replace(base.endorse_model, ack=D.exponential(0.02)),
+        dissemination=DisseminationStrategy(max_peer_count=2, required_peer_count=2,
+                                            ack_timeout=0.02, max_retries=2),
+    )
+    res = run_scenario(cfg, collect_traces=True)
+    txs = res.txs
+    begun = [tx for tx, at in enumerate(txs.endorse_start) if at >= 0]
+    assert res.counters.dropped_quorum > 0 and any(txs.retries_used[tx] for tx in begun)
+    assert len(calls) == sum(txs.retries_used[tx] + 1 for tx in begun)
 
 
 def test_preset_4_1_endorsement_mean_in_calibrated_band():

@@ -452,14 +452,14 @@ def test_block_local_data_matches_dissemination_trace(cfg):
     txs = res.txs
     for block, _ in res.block_trace:
         for p in range(cfg.peers.count):
-            assert block.local_data[p] == all(
+            assert bool(block.holders >> p & 1) == all(
                 p == txs.endorser[tx] or p in disseminated_to(txs, tx) for tx in block.txs)
 
 
 # -- endorsement plans ------------------------------------------------------------
 #
-# EndorsementSystem.disseminate computes a peer's endorsement outcomes a chunk
-# at a time. The reference below is the draw sequence of one endorsement at a
+# A peer's endorsement outcomes are one generator, which draws them a chunk at
+# a time and resolves a round only when its plan is taken. The reference below is the draw sequence of one endorsement at a
 # time: execute, overhead, then rounds of m acks through quorum_satisfied, the
 # rotation advancing on every round. Both must give each transaction the same
 # outcome, bit for bit.
@@ -614,7 +614,7 @@ def test_time_scaling_doubles_every_time(cfg):
             assert y == 2.0 * x or x == y == -1.0, (name, x, y)
     assert len(b.block_trace) == len(a.block_trace)
     for (ba, pa), (bb, pb) in zip(a.block_trace, b.block_trace):
-        assert (bb.block_num, bb.local_data) == (ba.block_num, ba.local_data)
+        assert (bb.block_num, bb.holders) == (ba.block_num, ba.holders)
         assert bb.txs == ba.txs
         _doubled(ba, bb, _BLOCK_TIMES)
         assert [(t.block_num, t.peer_id) for t in pb] == [(t.block_num, t.peer_id) for t in pa]

@@ -86,12 +86,11 @@ def test_endorsements_start_only_from_fill():
 
 
 def test_endorsement_draws_only_through_plans():
-    # disseminate draws every endorsement stage a chunk at a time, and resolves
+    # _plans draws every endorsement stage a chunk at a time, and resolves
     # every dissemination round with quorum_satisfied, the one quorum rule
     assert [site for site in _call_sites("sample") if site[0] == "endorsement.py"] == []
     uses = _sites(lambda node: isinstance(node, ast.Name) and node.id == "quorum_satisfied")
-    assert [site for site in uses if site[0] == "endorsement.py"] == [
-        ("endorsement.py", "EndorsementSystem", "disseminate")]
+    assert [site for site in uses if site[0] == "endorsement.py"] == [("endorsement.py", "_plans")]
 
 
 def test_no_transaction_class():
