@@ -44,7 +44,7 @@ from .metrics import (
     success_ratio,
 )
 from .simulate import RunResult, Simulation, run_scenario
-from .workload import InFlightPool, TxStatus, TxStore, draw_parent
+from .workload import TxStatus, TxStore
 from . import presets
 from .sweep import run_sweep
 
@@ -62,6 +62,6 @@ __all__ = [
     "RunCounters", "LatencySummary", "ThroughputSummary",
     "success_ratio", "emit_report",
     "Simulation", "RunResult", "run_scenario",
-    "TxStatus", "TxStore", "InFlightPool", "draw_parent",
+    "TxStatus", "TxStore",
     "presets", "run_sweep",
 ]

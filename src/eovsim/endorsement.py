@@ -216,12 +216,12 @@ class EndorsementSystem:
             self._begin(peer, tx)
 
     def _drop(self, tx: int, code: int) -> None:
-        """Drop tx with code, for capacity or quorum, and take it out of the
+        """Drop tx with code, for capacity or quorum, and log it out of the
         dependency candidates."""
         self.txs.status[tx] = code
-        pool = self.sim.source.pool
-        if pool is not None:
-            pool.remove(tx)
+        log = self.sim.source.log
+        if log is not None:
+            log.append(~tx)
 
     # -- endorsement execution -------------------------------------------
 

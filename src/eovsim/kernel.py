@@ -201,19 +201,6 @@ class RngStream:
         """Uniform integer in [0, n)."""
         return min(int(self.uniform() * n), n - 1)
 
-    def bernoulli_index(self, p: float, n: int) -> int:
-        """With probability p, and only when n > 0, a uniform integer in
-        [0, n); -1 otherwise. One uniform draw decides, and one more picks
-        the index: the draws of uniform() < p, then randint(n)."""
-        buf = self._buffers.get("u")
-        if not buf:
-            buf = self._refill("u", _random)
-        if buf.pop() < p and n > 0:
-            if not buf:
-                buf = self._refill("u", _random)
-            return min(int(buf.pop() * n), n - 1)
-        return -1
-
 
 # The parameters each distribution family reads; scale and per_tx apply to all.
 FAMILY_PARAMS = {

@@ -112,10 +112,9 @@ class Orderer:
         ids = np.frombuffer(queue, np.intc)
         np.frombuffer(store.block_num, np.intc)[ids] = block.block_num
         np.frombuffer(store.block_pos, np.intc)[ids] = np.arange(len(ids))
-        pool = sim.source.pool
-        if pool is not None:
-            for tx in queue:
-                pool.remove(tx)  # no longer a dependency candidate
+        log = sim.source.log
+        if log is not None:  # no longer dependency candidates
+            log.frombytes(np.invert(ids).tobytes())
         block.holders = self.held
         self.queue = array("i")
         self.held = -1

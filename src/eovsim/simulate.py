@@ -119,6 +119,7 @@ class Simulation:
         truncated = self.kernel.pending() > 0 or not self.drained()
         txs = self.source.txs
         txs.trim()
+        self.source.draw_parents()
 
         # committed blocks form a ledger prefix (every peer commits in order).
         # The orderer takes endorsed transactions FIFO, so the blocks followed

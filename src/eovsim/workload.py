@@ -11,9 +11,11 @@ parent is drawn uniformly from the transactions that are still ahead of the
 orderer (created, not dropped, not yet cut into a block). Validity against
 the parent is settled later, from final ledger order.
 
-Every dependency probability a run evaluates (the configured one and any
-extra ones) is drawn by draw_parent from its own RNG stream into its own
-parents column, so a probability's parents match a standalone run at it.
+A parent affects only post-run facts, so the run draws none: it logs the
+candidate set's adds and removals, and draw_parents replays that log once the
+run is over. Every dependency probability a run evaluates (the configured one
+and any extra ones) draws from its own RNG stream into its own parents column,
+so a probability's parents match a standalone run at it.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from array import array
 from collections import deque
 from functools import partial
 
-from .kernel import EventKind, RngStream
+from .kernel import EventKind
 
-__all__ = ["TxStatus", "TxStore", "InFlightPool", "draw_parent", "ArrivalSource"]
+__all__ = ["TxStatus", "TxStore", "draw_parents", "ArrivalSource"]
 
 
 class TxStatus:
@@ -75,44 +77,31 @@ class TxStore:
             del column[len(self.status):]
 
 
-class InFlightPool:
-    """Uniform-choice set of dependency candidates with O(1) add/remove."""
+def draw_parents(log: array, draws) -> None:
+    """Replay log, the dependency candidates' adds (tx_id) and removals
+    (~tx_id) in run order, and at each add append the new transaction's parent
+    to every (p, stream, parents) of draws: with probability p a uniform
+    candidate, -1 otherwise or when there is none.
 
-    __slots__ = ("_items", "_index")
-
-    def __init__(self):
-        self._items: list[int] = []
-        self._index: dict[int, int] = {}
-
-    def __len__(self):
-        return len(self._items)
-
-    def add(self, tx_id: int) -> None:
-        self._index[tx_id] = len(self._items)
-        self._items.append(tx_id)
-
-    def remove(self, tx_id: int) -> None:
-        i = self._index.pop(tx_id)
-        last = self._items.pop()
-        if i < len(self._items):
-            self._items[i] = last
-            self._index[last] = i
-
-    def __getitem__(self, i: int) -> int:
-        return self._items[i]
-
-
-def draw_parent(pool: InFlightPool, p: float, stream: RngStream) -> int:
-    """With probability p, a uniform member of the pool; -1 otherwise.
-
-    Consumes one bernoulli draw when p > 0, plus one index draw when a
-    parent is chosen, and touches no other stream.
+    A removal moves the last candidate into the hole, so at each add the
+    candidates stand in the order the run left them. Each add takes one
+    uniform draw per stream, plus one index draw when a parent is chosen.
     """
-    if p > 0.0:
-        i = stream.bernoulli_index(p, len(pool))
-        if i >= 0:
-            return pool[i]
-    return -1
+    items: list[int] = []
+    index: dict[int, int] = {}
+    for tx in log:
+        if tx < 0:
+            i = index.pop(~tx)
+            last = items.pop()
+            if i < len(items):
+                items[i] = last
+                index[last] = i
+            continue
+        n = len(items)
+        for p, stream, parents in draws:
+            parents.append(items[stream.randint(n)] if stream.uniform() < p and n else -1)
+        index[tx] = n
+        items.append(tx)
 
 
 def dependency_stream_label(p: float) -> str:
@@ -126,9 +115,10 @@ class ArrivalSource:
     events, so the pending-event count stays O(num_clients). In pool mode
     the batch waits in unpulled, in creation order, for free slots of
     eligible peers (see EndorsementSystem.fill). txs is the run's TxStore,
-    with a parents column per dependency probability, the configured first.
-    pool holds the dependency candidates, and is None when every probability
-    is 0: then nothing draws a parent from it.
+    with a parents column per dependency probability, the configured first;
+    the columns stay empty until draw_parents fills them after the run.
+    log records the dependency candidates' adds and removals for that replay
+    (see workload.draw_parents), and is None when every probability is 0.
     """
 
     def __init__(self, sim, extra_probs=()):
@@ -144,9 +134,7 @@ class ArrivalSource:
         # float keys: the stream label is repr(p), and 1 must draw as 1.0 does
         probs = dict.fromkeys(float(p) for p in (workload_cfg.dependency_prob, *extra_probs))
         self.txs = TxStore(probs)
-        self.pool = InFlightPool() if any(p > 0.0 for p in probs) else None
-        self._draws = [(p, sim.stream(dependency_stream_label(p)), self.txs.parents[p])
-                       for p in probs]
+        self.log = array("i") if any(p > 0.0 for p in probs) else None
 
     def start(self) -> None:
         cfg = self.cfg
@@ -183,12 +171,23 @@ class ArrivalSource:
 
     def _create(self, client_id: int, at: float) -> int:
         tx_id = self.txs.add(client_id, at)
-        pool = self.pool
-        for p, stream, parents in self._draws:
-            parents.append(draw_parent(pool, p, stream) if p > 0.0 else -1)
-        if pool is not None:
-            pool.add(tx_id)
+        if self.log is not None:
+            self.log.append(tx_id)
         return tx_id
+
+    def draw_parents(self) -> None:
+        """Fill every parents column from the finished run's log, each
+        probability from its own stream; a p = 0 column is all -1."""
+        n = len(self.txs.status)
+        parents = self.txs.parents
+        draws = []
+        for p in parents:
+            if p > 0.0:
+                draws.append((p, self.sim.stream(dependency_stream_label(p)), parents[p]))
+            else:
+                parents[p] = array("i", [-1]) * n
+        if draws:
+            draw_parents(self.log, draws)
 
     def exhausted(self) -> bool:
         return self._active_clients == 0 and not self.unpulled

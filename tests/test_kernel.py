@@ -224,15 +224,6 @@ def test_two_specs_share_one_stream():
     assert _bits(got) == _bits(expected)
 
 
-def test_bernoulli_index_draws_as_uniform_then_randint():
-    one_call, two_calls = _stream("dep"), _stream("dep")
-    for i in range(10_000):
-        p, n = (0.0, 0.3, 0.9, 1.0)[i % 4], i % 5
-        expected = two_calls.randint(n) if two_calls.uniform() < p and n > 0 else -1
-        assert one_call.bernoulli_index(p, n) == expected
-    assert one_call.uniform() == two_calls.uniform()
-
-
 def test_per_tx_affine_term():
     dist = D.constant(0.1, per_tx=0.001)
     assert math.isclose(dist.sample(_stream(), block_size=500), 0.6)

@@ -212,8 +212,9 @@ def test_drained_run_leaves_nothing_in_flight(cfg):
     # dynamic cut rule stops ticking on drained(), so a premature verdict
     # strands endorsed transactions in the orderer queue.
     # With the collector off, dropping the run must free all of it, drained
-    # or truncated: a reference cycle would leave it for gc.collect().
-    gc.collect()
+    # or truncated: a reference cycle would leave it for gc.collect(). The
+    # freeze keeps that pass to the objects made since, not the whole heap.
+    gc.freeze()
     gc.disable()
     try:
         sim = Simulation(cfg, collect_traces=False)
@@ -228,6 +229,7 @@ def test_drained_run_leaves_nothing_in_flight(cfg):
         assert gc.collect() == 0
     finally:
         gc.enable()
+        gc.unfreeze()
 
 
 @CASES

@@ -93,6 +93,16 @@ def test_endorsement_draws_only_through_plans():
     assert [site for site in uses if site[0] == "endorsement.py"] == [("endorsement.py", "_plans")]
 
 
+def test_dependency_parents_drawn_only_after_the_run():
+    # a parent affects only post-run facts: the dependency streams are made,
+    # and every parent drawn, in the one replay that _finalize starts
+    assert _call_sites("dependency_stream_label") == [("workload.py", "ArrivalSource",
+                                                       "draw_parents")]
+    assert sorted(_call_sites("draw_parents")) == [("simulate.py", "Simulation", "_finalize"),
+                                                   ("workload.py", "ArrivalSource",
+                                                    "draw_parents")]
+
+
 def test_no_transaction_class():
     # a run's transactions are TxStore's columns, indexed by tx_id; an object
     # per transaction would bring back its boxed fields

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 import eovsim
-from eovsim import InFlightPool, RngStream, draw_parent, run_scenario
+from eovsim import RngStream, run_scenario
 from eovsim.presets import preset
 from eovsim.simulate import Simulation
-from eovsim.workload import TxStatus
+from eovsim.workload import TxStatus, draw_parents
 
 from conftest import tiny_config
 
@@ -54,33 +54,37 @@ def test_poisson_count_within_three_sigma():
         assert abs(len(sim.source.txs.status) - lam) <= bound
 
 
+def _replay(log, p, stream):
+    """The parents draw_parents gives log's adds, in add order."""
+    parents = array("i")
+    draw_parents(array("i", log), [(p, stream, parents)])
+    return parents
+
+
+def _over_members(members, n):
+    """A log of members, then n adds each removed again before the next, so
+    every one of the n draws is over exactly the members."""
+    return [*members, *(e for tx in range(len(members), len(members) + n) for e in (tx, ~tx))]
+
+
 def test_dependency_p_zero_never_assigns():
-    pool = InFlightPool()
-    for i in range(10):
-        pool.add(i)
-    stream = RngStream(1, "dep")
-    for _ in range(100):
-        assert draw_parent(pool, 0.0, stream) == -1
+    parents = _replay(_over_members(range(10), 100), 0.0, RngStream(1, "dep"))
+    for parent in parents[10:]:
+        assert parent == -1
 
 
 def test_dependency_p_one_singleton_pool():
-    pool = InFlightPool()
-    pool.add(42)
-    assert draw_parent(pool, 1.0, RngStream(1, "dep")) == 42
+    assert _replay([42, 43], 1.0, RngStream(1, "dep"))[-1] == 42
 
 
 def test_dependency_frequency_and_uniformity():
     # p=0.5 over a 10-member pool: assignment rate 50% +- 1%, chi^2 uniformity
-    pool = InFlightPool()
     members = list(range(10))
-    for m in members:
-        pool.add(m)
     stream = RngStream(2024, "dep")
     n = 100_000
     counts = dict.fromkeys(members, 0)
     assigned = 0
-    for _ in range(n):
-        parent = draw_parent(pool, 0.5, stream)
+    for parent in _replay(_over_members(members, n), 0.5, stream)[10:]:
         if parent != -1:
             assigned += 1
             counts[parent] += 1
@@ -88,6 +92,35 @@ def test_dependency_frequency_and_uniformity():
     expected = assigned / 10
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 <= 21.67  # 95th percentile of chi^2 with 9 dof
+
+
+def test_removal_moves_the_last_candidate_into_the_hole():
+    # removing 0 from [0, 1, 2] leaves [2, 1]; tx 3 draws its index over that
+    parents = _replay([0, 1, 2, ~0, 3], 1.0, RngStream(1, "dep"))
+    twin = RngStream(1, "dep")
+    for n in (0, 1, 2):  # the draws of txs 0, 1 and 2 at p = 1
+        twin.uniform()
+        if n:
+            twin.randint(n)
+    twin.uniform()
+    assert parents[1] == 0
+    assert parents[3] == [2, 1][twin.randint(2)]
+
+
+def test_event_loop_draws_no_parent():
+    # a parent affects only post-run facts, so _finalize draws every one
+    cfg = tiny_config(workload=replace(tiny_config().workload, dependency_prob=0.7))
+    at_entry = []
+    finalize = Simulation._finalize
+
+    def spy(sim):
+        at_entry.append({p: len(parents) for p, parents in sim.source.txs.parents.items()})
+        return finalize(sim)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulation, "_finalize", spy)
+        run_scenario(cfg, collect_traces=False, extra_dep_probs=(0.3,))
+    assert at_entry == [{0.7: 0, 0.3: 0}]
 
 
 def test_parents_strictly_older_acyclic():
