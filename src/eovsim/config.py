@@ -245,7 +245,7 @@ def _read_fields(cls, raw, path, errors, base_dir):
 
 def _read_dist(raw, path, errors, base_dir):
     """A DistributionSpec from its family (default constant) and the parameters
-    FAMILY_PARAMS lists for it, plus scale and per_tx. An empirical family may
+    FAMILY_PARAMS lists for it, plus per_tx. An empirical family may
     name a `path` to a file of whitespace-separated samples instead."""
     if not isinstance(raw, dict):
         errors.append(f"{path}: expected an object, got {json.dumps(raw)}")
@@ -261,7 +261,7 @@ def _read_dist(raw, path, errors, base_dir):
             return _BAD
         raw["samples"] = samples
     params = (*_FIELD_TYPES[DistributionSpec], "path")
-    takes = ("family", "scale", "per_tx", *FAMILY_PARAMS[family])
+    takes = ("family", "per_tx", *FAMILY_PARAMS[family])
     for key in [k for k in raw if k in params and k not in takes]:
         errors.append(f"{path}.{key}: not a parameter of the {family} family")
         del raw[key]
@@ -427,8 +427,6 @@ def config_to_dict(cfg) -> dict:
 
 def _dist_to_dict(spec: DistributionSpec) -> dict:
     d = {name: _to_json(getattr(spec, name)) for name in ("family", *FAMILY_PARAMS[spec.family])}
-    if spec.scale != 1.0:
-        d["scale"] = spec.scale
     if spec.per_tx != 0.0:
         d["per_tx"] = spec.per_tx
     return d

@@ -12,6 +12,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Callable
 
@@ -131,9 +132,9 @@ class RngStream:
     sequence, and streams never perturb each other: each is an independent
     PCG64 generator keyed by a hash of its label.
 
-    Each distribution key (family and parameters) has one buffer of its next
-    draws, which the scalar methods pop one at a time and the plural ones
-    read n at a time, so a key read both ways keeps one order.
+    Each key has one buffer of its next finished samples, made a chunk at a
+    time by the key's draw(gen, n); next() pops one and take() reads n, so a
+    key read both ways keeps one order.
     """
 
     __slots__ = ("label", "_master_seed", "_gen", "_buffers")
@@ -155,7 +156,14 @@ class RngStream:
         buf = self._buffers[key] = array("d", draw(self._gen, _SAMPLE_CHUNK)[::-1].tobytes())
         return buf
 
-    def _take(self, key, draw, n: int) -> np.ndarray:
+    def next(self, key, draw) -> float:
+        """The next value of key's sequence."""
+        buf = self._buffers.get(key)
+        while not buf:  # a truncated chunk can come back empty
+            buf = self._refill(key, draw)
+        return buf.pop()
+
+    def take(self, key, draw, n: int) -> np.ndarray:
         """The next n values of key's sequence, in draw order."""
         out = np.empty(n)
         done = 0
@@ -170,39 +178,19 @@ class RngStream:
             done += k
         return out
 
-    def exponential(self, mean: float) -> float:
-        buf = self._buffers.get(("exp", mean))
-        if not buf:
-            buf = self._refill(("exp", mean), lambda g, n: g.exponential(mean, n))
-        return buf.pop()
-
-    def exponentials(self, mean: float, n: int) -> np.ndarray:
-        return self._take(("exp", mean), lambda g, k: g.exponential(mean, k), n)
-
-    def normal(self, mean: float, std: float) -> float:
-        buf = self._buffers.get(("norm", mean, std))
-        if not buf:
-            buf = self._refill(("norm", mean, std), lambda g, n: g.normal(mean, std, n))
-        return buf.pop()
-
-    def normals(self, mean: float, std: float, n: int) -> np.ndarray:
-        return self._take(("norm", mean, std), lambda g, k: g.normal(mean, std, k), n)
-
     def uniform(self) -> float:
         buf = self._buffers.get("u")
         if not buf:
             buf = self._refill("u", _random)
         return buf.pop()
 
-    def uniforms(self, n: int) -> np.ndarray:
-        return self._take("u", _random, n)
-
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         return min(int(self.uniform() * n), n - 1)
 
 
-# The parameters each distribution family reads; scale and per_tx apply to all.
+# The parameters each distribution family reads, which with the family name
+# key its samples' buffer on a stream; per_tx applies to all.
 FAMILY_PARAMS = {
     "constant": ("value",),
     "exponential": ("mean",),
@@ -221,9 +209,10 @@ class DistributionSpec:
       normal      mean, std — truncated at zero by resampling, so the
                   calibrated mean is not distorted by clamping
       empirical   samples (non-empty list), drawn uniformly
-    scale: multiplicative factor applied to every sample.
     per_tx: optional affine term in seconds per transaction of the enclosing
       block (commit stages only); the stage sample is still per block.
+
+    Specs of one family and parameters share a stream's buffer of samples.
     """
 
     family: str
@@ -231,17 +220,14 @@ class DistributionSpec:
     mean: float = 0.0
     std: float = 0.0
     samples: tuple[float, ...] = field(default=())
-    scale: float = 1.0
     per_tx: float = 0.0
 
     def __post_init__(self):
         if self.family not in FAMILY_PARAMS:
             raise ValueError(f"unknown distribution family {self.family!r}")
-        if not all(map(math.isfinite, (self.value, self.mean, self.std, self.scale,
+        if not all(map(math.isfinite, (self.value, self.mean, self.std,
                                        self.per_tx, *self.samples))):
             raise ValueError("distribution parameters must be finite")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
         if self.per_tx < 0:
             raise ValueError("per_tx must be non-negative")
         if self.family == "constant" and self.value < 0:
@@ -258,57 +244,51 @@ class DistributionSpec:
                 raise ValueError("empirical samples must be non-negative")
 
     @classmethod
-    def constant(cls, value: float, scale: float = 1.0, per_tx: float = 0.0) -> "DistributionSpec":
-        return cls("constant", value=value, scale=scale, per_tx=per_tx)
+    def constant(cls, value: float, per_tx: float = 0.0) -> "DistributionSpec":
+        return cls("constant", value=value, per_tx=per_tx)
 
     @classmethod
-    def exponential(cls, mean: float, scale: float = 1.0, per_tx: float = 0.0) -> "DistributionSpec":
-        return cls("exponential", mean=mean, scale=scale, per_tx=per_tx)
+    def exponential(cls, mean: float, per_tx: float = 0.0) -> "DistributionSpec":
+        return cls("exponential", mean=mean, per_tx=per_tx)
 
     @classmethod
-    def normal(cls, mean: float, std: float, scale: float = 1.0, per_tx: float = 0.0) -> "DistributionSpec":
-        return cls("normal", mean=mean, std=std, scale=scale, per_tx=per_tx)
+    def normal(cls, mean: float, std: float, per_tx: float = 0.0) -> "DistributionSpec":
+        return cls("normal", mean=mean, std=std, per_tx=per_tx)
 
     @classmethod
-    def empirical(cls, samples, scale: float = 1.0, per_tx: float = 0.0) -> "DistributionSpec":
-        return cls("empirical", samples=tuple(float(s) for s in samples), scale=scale, per_tx=per_tx)
+    def empirical(cls, samples, per_tx: float = 0.0) -> "DistributionSpec":
+        return cls("empirical", samples=tuple(float(s) for s in samples), per_tx=per_tx)
+
+    @cached_property
+    def _key(self) -> str:
+        """The key of this spec's buffer on a stream: its family and
+        parameters. A str caches its hash, so a long sample list is hashed
+        once, not at every draw; + 0.0 keys -0.0 and an int as the 0.0 and
+        float they equal."""
+        params = (getattr(self, name) for name in FAMILY_PARAMS[self.family])
+        return repr((self.family, *(x + 0.0 for p in params
+                                    for x in (p if type(p) is tuple else (p,)))))
+
+    def _draw(self, gen, n: int) -> np.ndarray:
+        """The family's one draw rule: the samples of n draws, in draw order."""
+        if self.family == "exponential":
+            return gen.exponential(self.mean, n)
+        if self.family == "normal":
+            v = gen.normal(self.mean, self.std, n)
+            return v[~(v < 0.0)]
+        k = len(self.samples)
+        return np.array(self.samples)[np.minimum((gen.random(n) * k).astype(np.intp), k - 1)]
 
     def sample(self, stream: RngStream, block_size: int = 0) -> float:
-        if self.family == "constant":
-            v = self.value
-        elif self.family == "exponential":
-            v = stream.exponential(self.mean)
-        elif self.family == "normal":
-            v = stream.normal(self.mean, self.std)
-            while v < 0.0:
-                v = stream.normal(self.mean, self.std)
-        else:
-            v = self.samples[stream.randint(len(self.samples))]
+        v = self.value if self.family == "constant" else stream.next(self._key, self._draw)
         if self.per_tx:
             v += self.per_tx * block_size
-        return v * self.scale
+        return v
 
     def sample_n(self, stream: RngStream, n: int) -> np.ndarray:
         """The next n samples as one array: the values, in order, and the
-        draws of n sample(stream) calls. A truncated normal keeps the
-        stream's values that are not below zero, reading no further than the
-        n-th."""
+        draws of n sample(stream) calls, without the per_tx term (which only
+        commit stages take)."""
         if self.family == "constant":
-            v = np.full(n, self.value)
-        elif self.family == "exponential":
-            v = stream.exponentials(self.mean, n)
-        elif self.family == "normal":
-            v = np.empty(n)
-            done = 0
-            while done < n:
-                chunk = stream.normals(self.mean, self.std, n - done)
-                chunk = chunk[~(chunk < 0.0)]
-                v[done:done + len(chunk)] = chunk
-                done += len(chunk)
-        else:
-            k = len(self.samples)
-            index = np.minimum((stream.uniforms(n) * k).astype(np.intp), k - 1)
-            v = np.array(self.samples)[index]
-        if self.per_tx:
-            v = v + 0.0  # sample() adds per_tx * block_size, and block_size is 0
-        return v * self.scale
+            return np.full(n, self.value, np.float64)
+        return stream.take(self._key, self._draw, n)

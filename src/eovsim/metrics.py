@@ -116,11 +116,9 @@ def _success_ratio(result) -> float:
 
 
 def _stage_stat(stage: str, stat: str):
-    empty = 0 if stat == "count" else 0.0
-
     def value(result):
         summ = result.summaries.get(stage)
-        return getattr(summ, stat) if summ else empty
+        return getattr(summ, stat) if summ else 0
     return value
 
 

@@ -24,7 +24,7 @@ from array import array
 from collections import deque
 from functools import partial
 
-from .kernel import EventKind
+from .kernel import DistributionSpec, EventKind
 
 __all__ = ["TxStatus", "TxStore", "draw_parents", "ArrivalSource"]
 
@@ -143,6 +143,7 @@ class ArrivalSource:
                 self.unpulled.append(self._create(client_id=0, at=0.0))
             return
         self._active_clients = cfg.num_clients
+        self._gap = DistributionSpec.exponential(1.0 / cfg.rate_per_client)
         self._gap_streams = [self.sim.stream(f"workload.arrivals.c{client}")
                              for client in range(cfg.num_clients)]
         for client in range(cfg.num_clients):
@@ -158,7 +159,7 @@ class ArrivalSource:
                 return
             at = (emitted + 1) / cfg.rate_per_client
         else:
-            at = self.sim.kernel.now + self._gap_streams[client].exponential(1.0 / cfg.rate_per_client)
+            at = self.sim.kernel.now + self._gap.sample(self._gap_streams[client])
             if at > cfg.duration:
                 self._active_clients -= 1
                 return

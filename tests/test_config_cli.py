@@ -221,7 +221,7 @@ def _non_finite_cases():
     """(path, JSON value) putting NaN or +-Infinity into every float field,
     every float-list item and every parameter of every distribution family."""
     dist_params = [(family, param) for family, params in FAMILY_PARAMS.items()
-                   for param in (*params, "scale", "per_tx")]
+                   for param in (*params, "per_tx")]
     for path, tp in _schema_leaves(ScenarioConfig):
         if tp is float:
             for bad in _NON_FINITE:
@@ -548,7 +548,7 @@ def test_pvtdata_preset_fetch_calibration_blend():
     # under (1,1); broadcast keeps everyone on the ~0.5 s local path
     def mean(spec):
         assert spec.family == "normal"
-        return spec.mean * spec.scale
+        return spec.mean
 
     cfg = preset("pvtdata-250x600", variant="1-1")
     local = mean(cfg.commit_model.pvt_fetch_local)

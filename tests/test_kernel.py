@@ -1,6 +1,8 @@
 import math
+import time
 from array import array
 
+import numpy as np
 import pytest
 
 from eovsim import DistributionSpec as D
@@ -109,10 +111,6 @@ def test_constant_sample_exact():
     assert D.constant(1.59).sample(_stream()) == 1.59
 
 
-def test_constant_scale():
-    assert D.constant(2.0, scale=0.5).sample(_stream()) == 1.0
-
-
 def test_exponential_law_of_large_numbers():
     dist = D.exponential(1.3)
     s = _stream("lln", seed=42)
@@ -121,13 +119,10 @@ def test_exponential_law_of_large_numbers():
     assert abs(mean - 1.3) <= 0.01
 
 
-def test_empirical_scaled_support():
-    dist = D.empirical([2.0, 2.4, 2.8], scale=0.375)
+def test_empirical_support():
+    dist = D.empirical([2.0, 2.4, 2.8])
     s = _stream("emp")
-    support = {0.75, 0.9, 1.05}
-    for _ in range(500):
-        v = dist.sample(s)
-        assert any(math.isclose(v, x) for x in support)
+    assert {dist.sample(s) for _ in range(500)} == {2.0, 2.4, 2.8}
 
 
 def test_truncated_normal_never_negative_and_mean_preserved():
@@ -147,8 +142,6 @@ def test_invalid_distribution_params_rejected():
         D.empirical([])
     with pytest.raises(ValueError):
         D("weibull")
-    with pytest.raises(ValueError):
-        D.constant(1.0, scale=0.0)
 
 
 @pytest.mark.parametrize("build", [
@@ -159,10 +152,10 @@ def test_invalid_distribution_params_rejected():
     lambda: D.normal(-math.inf, 1.0),
     lambda: D.empirical([0.1, math.nan]),
     lambda: D.empirical([math.inf]),
-    lambda: D.constant(1.0, scale=math.nan),
-    lambda: D.constant(1.0, scale=math.inf),
     lambda: D.constant(1.0, per_tx=math.nan),
     lambda: D.exponential(1.0, per_tx=math.inf),
+    lambda: D.normal(1.0, 0.1, per_tx=-math.inf),
+    lambda: D.empirical([0.1], per_tx=math.nan),
 ])
 def test_non_finite_distribution_params_rejected(build):
     # a NaN or infinite sample would put a NaN event time in the heap and
@@ -176,11 +169,10 @@ def test_non_finite_distribution_params_rejected(build):
 # compared bit for bit, so a -0.0 where sample() gives 0.0 fails.
 
 FAMILIES = {
-    "constant": D.constant(0.2, scale=1.5),
-    "exponential": D.exponential(0.3, scale=0.5),
+    "constant": D.constant(0.3),
+    "exponential": D.exponential(0.15),
     "normal": D.normal(0.001, 0.05),  # about half the draws are truncated
-    "empirical": D.empirical([0.1, 0.25, 0.4], scale=2.0),
-    "empirical with per_tx": D.empirical([-0.0, 0.3], per_tx=0.002),  # -0.0 + 0.0
+    "empirical": D.empirical([0.2, 0.5, 0.8]),
 }
 
 
@@ -215,13 +207,33 @@ def test_chunk_and_scalar_reads_interleave_on_one_key(family):
 def test_two_specs_share_one_stream():
     # pvt_fetch_local and pvt_fetch_remote both draw from peer{i}.fetch; two
     # specs with one key (same family and parameters) share its buffer
-    local, remote = D.exponential(0.02), D.exponential(0.02, scale=3.0)
+    local, remote = D.exponential(0.02), D.exponential(0.02, per_tx=0.001)
     other = D.normal(0.01, 0.02)
     reads = [(local, 3), (remote, 4100), (other, 50), (local, 1), (other, 4090), (remote, 9)]
     scalar, chunked = _stream("peer1.fetch"), _stream("peer1.fetch")
     expected = [dist.sample(scalar) for dist, n in reads for _ in range(n)]
     got = [v for dist, n in reads for v in dist.sample_n(chunked, n).tolist()]
     assert _bits(got) == _bits(expected)
+
+
+def test_equal_parameters_share_a_buffer():
+    # the buffer key compares parameters as == does: an int and a -0.0 key
+    # as the float and the 0.0 they equal
+    a, b = D.normal(0.0, 1), D.normal(-0.0, 1.0)
+    mixed, single = _stream(), _stream()
+    got = [dist.sample(mixed) for dist in (a, b) * 3000]
+    assert _bits(got) == _bits([a.sample(single) for _ in range(6000)])
+
+
+def test_long_empirical_list_costs_nothing_per_draw():
+    # the key of a spec's buffer is hashed once per spec, not at every draw
+    # (~2 ms a draw for this list when it was)
+    dist, s = D.empirical(range(200_000)), _stream()
+    dist.sample(s)
+    start = time.perf_counter()
+    for _ in range(1000):
+        dist.sample(s)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_per_tx_affine_term():
@@ -243,12 +255,36 @@ def test_different_labels_differ():
     assert [a.uniform() for _ in range(10)] != [b.uniform() for _ in range(10)]
 
 
+def _first_chunk_empty():
+    """A draw rule whose first chunk is empty (a truncated normal's chunk can
+    be), then 0, 1, 2, ... a chunk at a time."""
+    chunks = iter(range(10))
+
+    def draw(gen, n):
+        i = next(chunks)
+        return np.arange((i - 1) * n, i * n, dtype=np.float64) if i else np.empty(0)
+    return draw
+
+
+def test_next_refills_after_an_empty_chunk():
+    s = _stream()
+    draw = _first_chunk_empty()
+    assert [s.next("k", draw) for _ in range(5000)] == list(range(5000))
+
+
+def test_take_refills_after_an_empty_chunk():
+    s = _stream()
+    draw = _first_chunk_empty()
+    assert s.take("k", draw, 5000).tolist() == list(range(5000))
+    assert s.next("k", draw) == 5000
+
+
 def test_stream_independence_extra_draws_do_not_perturb():
     sim1 = Simulation(tiny_config(seed=5))
     sim2 = Simulation(tiny_config(seed=5))
     # consume extra samples from stream X in sim2 only
     x = sim2.stream("X")
-    x.exponential(1.0)
+    D.exponential(1.0).sample(x)
     for _ in range(50):
         x.uniform()
     y1, y2 = sim1.stream("Y"), sim2.stream("Y")

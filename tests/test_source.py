@@ -93,6 +93,16 @@ def test_endorsement_draws_only_through_plans():
     assert [site for site in uses if site[0] == "endorsement.py"] == [("endorsement.py", "_plans")]
 
 
+def test_one_draw_rule_per_family():
+    # DistributionSpec._draw is each family's one rule, run a chunk at a time
+    # into the stream's buffer; a raw draw anywhere else in the kernel would
+    # be a second copy of it
+    draw, uniform = ("kernel.py", "DistributionSpec", "_draw"), ("kernel.py", "_random")
+    sites = {name: [site for site in _call_sites(name) if site[0] == "kernel.py"]
+             for name in ("exponential", "normal", "random")}
+    assert sites == {"exponential": [draw], "normal": [draw], "random": [uniform, draw]}
+
+
 def test_dependency_parents_drawn_only_after_the_run():
     # a parent affects only post-run facts: the dependency streams are made,
     # and every parent drawn, in the one replay that _finalize starts

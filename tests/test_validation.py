@@ -153,7 +153,6 @@ def test_non_finite_rejected_when_built_in_python(path, value, bad):
 # (distribution as JSON, the ValueError DistributionSpec raises for it); the
 # loader reports it as "path: message"
 DIST_CASES = [
-    ({"family": "constant", "value": 0.1, "scale": 0.0}, "scale must be positive"),
     ({"family": "constant", "value": 0.1, "per_tx": -0.001}, "per_tx must be non-negative"),
     ({"family": "constant", "value": -0.1}, "constant value must be non-negative"),
     ({"family": "exponential", "mean": 0.0}, "exponential mean must be positive"),
@@ -188,13 +187,29 @@ def test_distribution_rule_rejected_in_python(spec, message):
     assert str(err.value) == message
 
 
-def test_distribution_scale_and_per_tx_round_trip():
+def test_distribution_scale_is_an_unknown_field(tmp_path, capsys):
+    # a spec's samples are its family's draws; there is no multiplier
+    raw = json.loads(emit_config(tiny_config(out_dir=str(tmp_path / "out"))))
+    raw["commit_model"]["vscc"] = {"family": "exponential", "mean": 0.01, "scale": 2.5}
+    with pytest.raises(ConfigError) as err:
+        loads_config(json.dumps(raw))
+    assert err.value.errors == ["commit_model.vscc.scale: unknown field"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "config error: commit_model.vscc.scale: unknown field\n"
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(TypeError):
+        DistributionSpec.exponential(0.01, scale=2.5)
+
+
+def test_distribution_per_tx_round_trip():
     base = tiny_config()
     cfg = replace(base, commit_model=replace(
-        base.commit_model, vscc=DistributionSpec.exponential(0.01, scale=2.5, per_tx=0.002)))
+        base.commit_model, vscc=DistributionSpec.exponential(0.01, per_tx=0.002)))
     text = emit_config(cfg)
     assert json.loads(text)["commit_model"]["vscc"] == {
-        "family": "exponential", "mean": 0.01, "scale": 2.5, "per_tx": 0.002}
+        "family": "exponential", "mean": 0.01, "per_tx": 0.002}
     loaded = loads_config(text)
     assert loaded == cfg
     assert config_hash(loaded) == config_hash(cfg) != config_hash(base)
